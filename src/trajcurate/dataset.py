@@ -320,40 +320,62 @@ _ITEM_SIZE = {_DTYPE_U8: 1, _DTYPE_F64: 8, _DTYPE_I64: 8, _DTYPE_JSON: 1}
 _NP_DTYPE = {_DTYPE_U8: np.uint8, _DTYPE_F64: "<f8", _DTYPE_I64: "<i8"}
 
 
-def read_episode(path) -> Episode:
-    raw = Path(path).read_bytes()
-    if raw[:4] != MAGIC:
-        raise DatasetError(f"{path}: bad magic {raw[:4]!r}")
-    (version,) = struct.unpack_from("<H", raw, 4)
-    if version != VERSION:
-        raise DatasetError(f"{path}: unsupported version {version}")
+# Errors that parsing malformed bytes can raise: struct reads past the end,
+# unknown section kinds or missing keys, undecodable text or JSON (both
+# ValueErrors), impossible reshapes, fields of the wrong type, and JSON
+# infinities cast to int.
+_CORRUPT = (struct.error, LookupError, ValueError, TypeError, OverflowError)
+
+
+def _read_sections(raw: bytes) -> dict[str, object]:
     pos = 6
     sections: dict[str, object] = {}
     while pos < len(raw):
-        try:
-            (name_len,) = struct.unpack_from("<I", raw, pos)
-            pos += 4
-            if len(raw) - pos < name_len:
-                raise struct.error("short name")
-            name = raw[pos:pos + name_len].decode()
-            pos += name_len
-            (kind,) = struct.unpack_from("<B", raw, pos)
-            pos += 1
-            (rank,) = struct.unpack_from("<I", raw, pos)
-            pos += 4
-            dims = struct.unpack_from(f"<{rank}Q", raw, pos)
-            pos += 8 * rank
-            nbytes = int(np.prod(dims)) * _ITEM_SIZE[kind] if rank else 0
-            payload = raw[pos:pos + nbytes]
-            if len(payload) < nbytes:
-                raise struct.error("short payload")
-            pos += nbytes
-        except (struct.error, KeyError) as exc:
-            raise DatasetError(f"{path}: truncated or corrupt section ({exc})") from exc
+        (name_len,) = struct.unpack_from("<I", raw, pos)
+        pos += 4
+        if len(raw) - pos < name_len:
+            raise struct.error("short name")
+        name = raw[pos:pos + name_len].decode()
+        pos += name_len
+        (kind,) = struct.unpack_from("<B", raw, pos)
+        pos += 1
+        (rank,) = struct.unpack_from("<I", raw, pos)
+        pos += 4
+        if 8 * rank > len(raw) - pos:
+            raise struct.error("short dims")
+        dims = struct.unpack_from(f"<{rank}Q", raw, pos)
+        pos += 8 * rank
+        remaining = len(raw) - pos
+        # clamped as it grows, so corrupt dims cannot overflow or build a
+        # huge integer; the clamp never changes whether it fits
+        nbytes = _ITEM_SIZE[kind] if rank else 0
+        for d in dims:
+            nbytes = min(nbytes * d, remaining + 1)
+        if nbytes > remaining:
+            raise struct.error(f"dims {dims} need more than the {remaining} bytes left")
+        payload = raw[pos:pos + nbytes]
+        pos += nbytes
         if kind == _DTYPE_JSON:
             sections[name] = json.loads(payload.decode())
         else:
             sections[name] = np.frombuffer(payload, dtype=_NP_DTYPE[kind]).reshape(dims)
+    return sections
+
+
+def read_episode(path) -> Episode:
+    """Read one NTRJ file; truncated or corrupt content raises DatasetError."""
+    raw = Path(path).read_bytes()
+    if raw[:4] != MAGIC:
+        raise DatasetError(f"{path}: bad magic {raw[:4]!r}")
+    if len(raw) < 6:
+        raise DatasetError(f"{path}: truncated before the version")
+    (version,) = struct.unpack_from("<H", raw, 4)
+    if version != VERSION:
+        raise DatasetError(f"{path}: unsupported version {version}")
+    try:
+        sections = _read_sections(raw)
+    except _CORRUPT as exc:
+        raise DatasetError(f"{path}: truncated or corrupt section ({exc!r})") from exc
     try:
         header = sections["header"]
         return Episode(
@@ -366,8 +388,8 @@ def read_episode(path) -> Episode:
             actions=np.array(sections["actions"], dtype=np.float64),
             provenance=sections["provenance"],
         )
-    except KeyError as exc:
-        raise DatasetError(f"{path}: missing section {exc}") from exc
+    except _CORRUPT as exc:
+        raise DatasetError(f"{path}: missing or invalid section ({exc!r})") from exc
 
 
 def episode_filename(episode_id: int) -> str:

@@ -84,9 +84,15 @@ class IdmModel:
 
     def velocity(self, x_t: np.ndarray, t: np.ndarray,
                  conditioning: dict[str, np.ndarray]) -> Tensor:
-        """x_t: (B, H, 6) normalized noisy chunk; returns (B, H, 6) velocity."""
+        """x_t: (B, H, 6) normalized noisy chunk; returns (B, H, 6) velocity.
+
+        conditioning holds the endpoint frames "frame_a" and "frame_b", or
+        their "tokens" from `_frame_tokens` when the caller reuses them over
+        several Euler steps."""
         b = x_t.shape[0]
-        cond = self._frame_tokens(conditioning["frame_a"], conditioning["frame_b"])
+        cond = conditioning.get("tokens")
+        if cond is None:
+            cond = self._frame_tokens(conditioning["frame_a"], conditioning["frame_b"])
         tfeat = time_features(t, self.hyper.dim)                 # (B, D)
         tvec = self.time_proj(Tensor(tfeat)).reshape(b, 1, self.hyper.dim)
         act = self.chunk_in(Tensor(x_t)) + self.row_embed + tvec
@@ -179,8 +185,11 @@ def _clip_chunk(chunk: np.ndarray) -> np.ndarray:
 def _predict_batch(model: IdmModel, frames_a: np.ndarray, frames_b: np.ndarray,
                    seed: int) -> np.ndarray:
     """Average sample_avg denoising runs (seeded); the chunk posterior is
-    essentially unimodal, so the mean is the minimum-MSE point estimate."""
-    cond = {"frame_a": frames_a, "frame_b": frames_b}
+    essentially unimodal, so the mean is the minimum-MSE point estimate.
+    The frame tokens are the same for every run and step, so they are
+    computed once."""
+    with no_grad():
+        cond = {"tokens": model._frame_tokens(frames_a, frames_b)}
 
     def velocity_fn(x_t, t, c):
         with no_grad():
@@ -191,14 +200,6 @@ def _predict_batch(model: IdmModel, frames_a: np.ndarray, frames_b: np.ndarray,
                               derive_seed(seed, "avg", j))
             for j in range(model.hyper.sample_avg)]
     return _clip_chunk(model.denormalize(np.mean(runs, axis=0)))
-
-
-def idm_predict(frame_a: np.ndarray, frame_b: np.ndarray, model: IdmModel,
-                seed: int) -> np.ndarray:
-    """Denoise the action chunk between two frames; (horizon, 6), bounded."""
-    if frame_a.shape != frame_b.shape or frame_a.shape[0] != model.hyper.resolution:
-        raise ValueError("frame resolution differs from the model's")
-    return _predict_batch(model, frame_a[None], frame_b[None], seed)[0]
 
 
 def label_video(video: np.ndarray, model: IdmModel,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, attention, concat
+from .tensor import Tensor, attention
 
 INIT_SCALE = 0.02
 
@@ -139,9 +139,3 @@ def patchify(frames: np.ndarray, patch: int) -> np.ndarray:
     arr = arr.reshape(*lead, gh, patch, gw, patch, c)
     arr = np.moveaxis(arr, -3, -4)           # (..., gh, gw, patch, patch, c)
     return arr.reshape(*lead, gh * gw, patch * patch * c)
-
-
-def stack_rows(rows: list[Tensor]) -> Tensor:
-    """Stack (D,)- or (1,D)-shaped tensors into an (N, D) tensor."""
-    rows = [r.reshape(1, -1) if r.ndim == 1 else r for r in rows]
-    return concat(rows, axis=0)

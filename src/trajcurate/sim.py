@@ -6,6 +6,16 @@ palette-based rasterizer. Everything is a pure function of its inputs, so
 replays are byte-reproducible: the same (scene, initial state, actions,
 resolution) always yields the identical video.
 
+The rasterizer tests each object, arm link and gripper disc only within its
+pixel window: the shape's world bounding box mapped to pixel indices, widened
+by one pixel on every side and clipped to the frame. The window is
+conservative because the per-pixel test inside it is unchanged; a pixel just
+outside the box fails that test anyway, and the extra pixel of margin absorbs
+any rounding in mapping the box to indices. So a frame holds the same bytes
+as when every shape is tested over the whole frame, at a fraction of the
+cost. The table and zones are axis-aligned, so they are painted as row and
+column slices computed once per resolution.
+
 Conventions: world x grows right, world y grows up; frames are row-major RGB
 with the origin at the top-left. Actions are 6-vectors
 [dL1, dL2, gripL, dR1, dR2, gripR]: joint deltas are clipped to +-A_MAX,
@@ -16,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from enum import Enum
 
 import numpy as np
 
@@ -71,12 +80,6 @@ HANDS = ("left", "right")
 EFFECTOR_RADIUS_CLOSED = 0.06
 EFFECTOR_RADIUS_OPEN = 0.012
 ARM_THICKNESS = 0.022
-
-
-class Behavior(str, Enum):
-    pick_place = "pick_place"
-    push = "push"
-    stack = "stack"
 
 
 @dataclass(frozen=True)
@@ -286,19 +289,46 @@ def rollout(scene: SceneSpec, init: WorldState, actions) -> list[WorldState]:
 
 # -- rendering --------------------------------------------------------------------
 
-_GRIDS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_GRIDS: dict[int, tuple] = {}
+
+
+def _rect_window(xs, ys, rect) -> tuple[slice, slice]:
+    """Rows and columns whose pixel centres lie in the closed world rect.
+    xs rises and ys falls monotonically, so each set is one contiguous run."""
+    x0, y0, x1, y1 = rect
+    rows = np.flatnonzero((ys >= y0) & (ys <= y1))
+    cols = np.flatnonzero((xs >= x0) & (xs <= x1))
+    return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
 
 
 def _grid(resolution: int):
+    """Pixel-centre world x per column and y per row, the table's window and
+    each zone's (palette index, window); computed once per resolution."""
     cached = _GRIDS.get(resolution)
     if cached is None:
         px = (np.arange(resolution) + 0.5) / resolution
         xs = WORLD_LO + px * (WORLD_HI - WORLD_LO)
         ys = WORLD_HI - px * (WORLD_HI - WORLD_LO)       # row 0 is the top
-        gx, gy = np.meshgrid(xs, ys)
-        cached = (gx, gy)
+        zones = tuple((ZONE_COLOR_INDEX[name], _rect_window(xs, ys, rect))
+                      for name, rect in ZONES.items())
+        cached = (xs, ys, _rect_window(xs, ys, (0.0, 0.0, 1.0, 1.0)), zones)
         _GRIDS[resolution] = cached
     return cached
+
+
+def _box_window(xs, ys, x0, y0, x1, y1):
+    """Window of every pixel whose centre can lie in the world box
+    [x0, x1] x [y0, y1], widened by one pixel on each side so that rounding
+    in the centre coordinates never leaves a covered pixel outside; returns
+    the window and its centre coordinates shaped to broadcast."""
+    n = len(xs)
+    scale = n / (WORLD_HI - WORLD_LO)
+    c0 = max(math.floor((x0 - WORLD_LO) * scale - 0.5) - 1, 0)
+    c1 = min(math.ceil((x1 - WORLD_LO) * scale - 0.5) + 2, n)
+    r0 = max(math.floor((WORLD_HI - y1) * scale - 0.5) - 1, 0)
+    r1 = min(math.ceil((WORLD_HI - y0) * scale - 0.5) + 2, n)
+    rows, cols = slice(r0, max(r0, r1)), slice(c0, max(c0, c1))
+    return (rows, cols), xs[None, cols], ys[rows, None]
 
 
 def background_value(color_index: int, gain: float) -> np.ndarray:
@@ -307,9 +337,9 @@ def background_value(color_index: int, gain: float) -> np.ndarray:
                    0, 255).astype(np.uint8)
 
 
-def _rect_mask(gx, gy, rect):
-    x0, y0, x1, y1 = rect
-    return (gx >= x0) & (gx <= x1) & (gy >= y0) & (gy <= y1)
+# Half-width of each shape's bounding box in units of its radius: the
+# triangle's base spans |dx| <= 0.6 * 1.8r, the circle and square reach r.
+_SHAPE_HALF_WIDTH = 1.08
 
 
 def _object_mask(gx, gy, obj: SceneObject, position):
@@ -337,27 +367,40 @@ def _segment_mask(gx, gy, p0, p1, width):
 
 def render(scene: SceneSpec, state: WorldState,
            resolution: int = DEFAULT_RESOLUTION) -> np.ndarray:
-    """Rasterize one frame: background, table, zones, objects, arms, grippers."""
+    """Rasterize one frame: background, table, zones, objects, arms, grippers.
+    Each shape's test runs on its window's row and column coordinates, which
+    broadcast to the same values as full-frame grids, so each pixel's bits
+    match a full-frame rasterization."""
     if resolution < 16:
         raise ValueError("resolution must be at least 16x16")
-    gx, gy = _grid(resolution)
+    xs, ys, table, zones = _grid(resolution)
     img = np.empty((resolution, resolution, 3), dtype=np.uint8)
     img[:] = background_value(scene.background_color, scene.lighting_gain)
+    img[table] = PALETTE[scene.table_color]
+    for color, window in zones:
+        img[window] = PALETTE[color]
 
-    img[_rect_mask(gx, gy, (0.0, 0.0, 1.0, 1.0))] = PALETTE[scene.table_color]
-    for name, rect in ZONES.items():
-        img[_rect_mask(gx, gy, rect)] = PALETTE[ZONE_COLOR_INDEX[name]]
     for i, obj in enumerate(scene.objects):
-        img[_object_mask(gx, gy, obj, state.object_poses[i])] = PALETTE[obj.color]
+        x, y = state.object_poses[i]
+        h = _SHAPE_HALF_WIDTH * obj.radius
+        window, gx, gy = _box_window(xs, ys, x - h, y - h, x + h, y + h)
+        img[window][_object_mask(gx, gy, obj, (x, y))] = PALETTE[obj.color]
 
     robot = PALETTE[ROBOT_COLOR_INDEX]
+    w = ARM_THICKNESS
     for arm in range(2):
         base, elbow, eff = arm_points(state, arm)
-        img[_segment_mask(gx, gy, base, elbow, ARM_THICKNESS)] = robot
-        img[_segment_mask(gx, gy, elbow, eff, ARM_THICKNESS)] = robot
+        for p0, p1 in ((base, elbow), (elbow, eff)):
+            window, gx, gy = _box_window(
+                xs, ys, min(p0[0], p1[0]) - w, min(p0[1], p1[1]) - w,
+                max(p0[0], p1[0]) + w, max(p0[1], p1[1]) + w)
+            img[window][_segment_mask(gx, gy, p0, p1, w)] = robot
         r_eff = (EFFECTOR_RADIUS_CLOSED if state.gripper[arm] >= 0.5
                  else EFFECTOR_RADIUS_OPEN)
-        img[(gx - eff[0]) ** 2 + (gy - eff[1]) ** 2 <= r_eff * r_eff] = robot
+        ex, ey = eff
+        window, gx, gy = _box_window(xs, ys, ex - r_eff, ey - r_eff,
+                                     ex + r_eff, ey + r_eff)
+        img[window][(gx - ex) ** 2 + (gy - ey) ** 2 <= r_eff * r_eff] = robot
     return img
 
 

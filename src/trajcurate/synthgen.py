@@ -172,12 +172,19 @@ def remap_frames(frames: np.ndarray, scene: SceneSpec,
         if src == robot or src in value_map:
             continue
         value_map[src] = dst
+    # one uint32 per pixel (r << 16 | g << 8 | b), built in place so only one
+    # extra plane is allocated; each colour is then a single equality test
+    packed = frames[..., 0].astype(np.uint32)
+    packed <<= 8
+    packed |= frames[..., 1]
+    packed <<= 8
+    packed |= frames[..., 2]
     out = frames.copy()
     for src, dst in value_map.items():
         if src == dst:
             continue
-        mask = np.all(frames == np.array(src, dtype=np.uint8), axis=-1)
-        out[mask] = np.array(dst, dtype=np.uint8)
+        key = src[0] << 16 | src[1] << 8 | src[2]
+        out[packed == key] = np.array(dst, dtype=np.uint8)
     return out, new_scene
 
 

@@ -153,6 +153,25 @@ def test_truncated_episode_detected(tmp_path):
         dataset.read_episode(path)
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_corrupt_episode_raises_only_dataset_error(tmp_path_factory, data):
+    """Byte flips and truncations of a written episode either still load or
+    raise DatasetError; no other exception escapes the reader."""
+    path = tmp_path_factory.mktemp("fuzz") / "ep.ntrj"
+    dataset.write_episode(make_episode(), path)
+    raw = bytearray(path.read_bytes())
+    index = st.integers(0, len(raw) - 1)
+    for i, value in data.draw(st.lists(st.tuples(index, st.integers(0, 255)), max_size=4)):
+        raw[i] = value
+    cut = data.draw(st.one_of(st.none(), st.integers(0, 8), index))
+    path.write_bytes(bytes(raw[:cut]))
+    try:
+        dataset.read_episode(path)
+    except dataset.DatasetError:
+        pass
+
+
 def test_bad_magic_detected(tmp_path):
     path = tmp_path / "ep.ntrj"
     path.write_bytes(b"XXXX" + b"\x00" * 32)

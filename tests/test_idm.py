@@ -1,0 +1,60 @@
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trajcurate import flow, idm, sim
+from trajcurate.seeding import derive_seed
+from trajcurate.tensor import no_grad
+
+TINY = idm.IdmHyper(dim=16, heads=2, blocks=1, patch=16, horizon=4,
+                    resolution=32, euler_steps=2, sample_avg=2)
+
+
+def tiny_model():
+    model = idm.IdmModel(TINY, seed=3)
+    model.norm_mean = np.linspace(-0.01, 0.01, idm.ACTION_DIM)
+    model.norm_std = np.full(idm.ACTION_DIM, 0.05)
+    return model
+
+
+def random_video(t, seed=0):
+    return np.random.default_rng(seed).integers(0, 256, size=(t, 32, 32, 3), dtype=np.uint8)
+
+
+def reference_label_video(video, model, seed=idm.LABEL_SEED):
+    """One Euler sample per averaged run, each step calling `velocity` on the
+    raw frames, so the frame tokens are recomputed at every step."""
+    h = model.hyper.horizon
+    starts = list(range(0, len(video) - 1, h))
+    ends = [min(s + h, len(video) - 1) for s in starts]
+    cond = {"frame_a": video[starts], "frame_b": video[ends]}
+
+    def velocity_fn(x_t, t, c):
+        with no_grad():
+            return model.velocity(x_t, t, c).data
+
+    base = derive_seed(seed, "label-windows")
+    shape = (len(starts), h, idm.ACTION_DIM)
+    runs = [flow.euler_sample(velocity_fn, cond, shape, model.hyper.euler_steps,
+                              derive_seed(base, "avg", j))
+            for j in range(model.hyper.sample_avg)]
+    chunks = model.denormalize(np.mean(runs, axis=0))
+    chunks[..., [0, 1, 3, 4]] = np.clip(chunks[..., [0, 1, 3, 4]], -sim.A_MAX, sim.A_MAX)
+    chunks[..., [2, 5]] = np.clip(chunks[..., [2, 5]], 0.0, 1.0)
+    return np.concatenate([chunks[i, :e - s] for i, (s, e) in enumerate(zip(starts, ends))])
+
+
+@settings(max_examples=15, deadline=None)
+@given(t=st.integers(2, 40))
+def test_label_video_gives_t_minus_one_finite_rows(t):
+    labels = idm.label_video(random_video(t, seed=t), tiny_model())
+    assert labels.shape == (t - 1, idm.ACTION_DIM)
+    assert np.all(np.isfinite(labels))
+
+
+def test_label_video_matches_per_step_reference():
+    model = tiny_model()
+    for t in (2, 5, 13):
+        video = random_video(t, seed=t)
+        labels = idm.label_video(video, model, seed=7)
+        assert labels.tobytes() == reference_label_video(video, model, seed=7).tobytes()

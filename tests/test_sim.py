@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajcurate import sim
 from trajcurate.sim import Instruction, SceneObject, SceneSpec, WorldState
@@ -179,6 +181,86 @@ def test_render_minimum_resolution():
     scene = two_object_scene()
     with pytest.raises(ValueError):
         sim.render(scene, sim.initial_state(scene), 8)
+
+
+# Full-frame reference rasterizer: every shape is tested at every pixel of the
+# frame. `sim.render` must produce the same bytes from its windowed tests.
+
+
+def _ref_rect_mask(gx, gy, rect):
+    x0, y0, x1, y1 = rect
+    return (gx >= x0) & (gx <= x1) & (gy >= y0) & (gy <= y1)
+
+
+def _ref_object_mask(gx, gy, obj, position):
+    dx = gx - position[0]
+    dy = gy - position[1]
+    r = obj.radius
+    if obj.shape == "circle":
+        return dx * dx + dy * dy <= r * r
+    if obj.shape == "square":
+        return (np.abs(dx) <= r) & (np.abs(dy) <= r)
+    return (dy >= -0.8 * r) & (dy <= r) & (np.abs(dx) <= 0.6 * (r - dy))
+
+
+def _ref_segment_mask(gx, gy, p0, p1, width):
+    vx, vy = p1[0] - p0[0], p1[1] - p0[1]
+    seg2 = vx * vx + vy * vy
+    if seg2 < 1e-18:
+        return (gx - p0[0]) ** 2 + (gy - p0[1]) ** 2 <= width * width
+    t = np.clip(((gx - p0[0]) * vx + (gy - p0[1]) * vy) / seg2, 0.0, 1.0)
+    dx = gx - (p0[0] + t * vx)
+    dy = gy - (p0[1] + t * vy)
+    return dx * dx + dy * dy <= width * width
+
+
+def reference_render(scene, state, resolution):
+    px = (np.arange(resolution) + 0.5) / resolution
+    xs = sim.WORLD_LO + px * (sim.WORLD_HI - sim.WORLD_LO)
+    ys = sim.WORLD_HI - px * (sim.WORLD_HI - sim.WORLD_LO)
+    gx, gy = np.meshgrid(xs, ys)
+    img = np.empty((resolution, resolution, 3), dtype=np.uint8)
+    img[:] = sim.background_value(scene.background_color, scene.lighting_gain)
+    img[_ref_rect_mask(gx, gy, (0.0, 0.0, 1.0, 1.0))] = sim.PALETTE[scene.table_color]
+    for name, rect in sim.ZONES.items():
+        img[_ref_rect_mask(gx, gy, rect)] = sim.PALETTE[sim.ZONE_COLOR_INDEX[name]]
+    for i, obj in enumerate(scene.objects):
+        img[_ref_object_mask(gx, gy, obj, state.object_poses[i])] = sim.PALETTE[obj.color]
+    robot = sim.PALETTE[sim.ROBOT_COLOR_INDEX]
+    for arm in range(2):
+        base, elbow, eff = sim.arm_points(state, arm)
+        img[_ref_segment_mask(gx, gy, base, elbow, sim.ARM_THICKNESS)] = robot
+        img[_ref_segment_mask(gx, gy, elbow, eff, sim.ARM_THICKNESS)] = robot
+        r_eff = (sim.EFFECTOR_RADIUS_CLOSED if state.gripper[arm] >= 0.5
+                 else sim.EFFECTOR_RADIUS_OPEN)
+        img[(gx - eff[0]) ** 2 + (gy - eff[1]) ** 2 <= r_eff * r_eff] = robot
+    return img
+
+
+_unit = st.floats(-0.5, 1.5)
+_objects = st.lists(st.builds(
+    lambda shape, color, radius, x, y: SceneObject(shape, color, radius, (x, y)),
+    st.sampled_from(sim.SHAPES), st.sampled_from(sim.SCENE_COLOR_INDICES),
+    st.floats(0.005, 0.3), _unit, _unit), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(objects=_objects,
+       joints=st.lists(st.floats(-math.pi, math.pi), min_size=4, max_size=4),
+       gripper=st.lists(st.sampled_from([0.0, 0.49, 0.5, 1.0]), min_size=2, max_size=2),
+       table=st.sampled_from(sim.SCENE_COLOR_INDICES),
+       bg=st.sampled_from(sim.SCENE_COLOR_INDICES),
+       gain=st.floats(0.5, 1.5),
+       resolution=st.sampled_from([16, 17, 63, 64, 96]))
+def test_render_matches_full_frame_reference(objects, joints, gripper,
+                                             table, bg, gain, resolution):
+    scene = make_scene(objects, table=table, bg=bg, gain=gain)
+    state = WorldState(np.array(joints).reshape(2, 2), np.array(gripper),
+                       np.array([o.position for o in objects]).reshape(-1, 2),
+                       (None, None))
+    frame = sim.render(scene, state, resolution)
+    assert frame.shape == (resolution, resolution, 3)
+    assert np.array_equal(frame, reference_render(scene, state, resolution))
 
 
 # -- replay ------------------------------------------------------------------------

@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajcurate import dataset, sim, synthgen
 from trajcurate.sim import Instruction, SceneObject, SceneSpec
@@ -103,6 +105,59 @@ def test_restyled_actions_still_pass_oracle():
     out = synthgen.restyle_video(ep, pal)
     states = sim.rollout(out.scene, sim.initial_state(out.scene), out.actions)
     assert sim.task_success(out.scene, states, out.instruction)
+
+
+def reference_remap(frames, scene, palette_map, new_gain=None):
+    """Per-colour reference: a three-channel equality mask for each colour."""
+    new_scene = synthgen.apply_palette_map(scene, palette_map, new_gain)
+    old_colors = sim.scene_color_table(scene)
+    new_colors = sim.scene_color_table(new_scene)
+    robot = tuple(int(v) for v in sim.PALETTE[sim.ROBOT_COLOR_INDEX])
+    value_map = {}
+    for key in sorted(old_colors):
+        src, dst = old_colors[key], new_colors[key]
+        if src != robot and src not in value_map:
+            value_map[src] = dst
+    out = frames.copy()
+    for src, dst in value_map.items():
+        if src != dst:
+            out[np.all(frames == np.array(src, dtype=np.uint8), axis=-1)] = dst
+    return out, new_scene
+
+
+_colors = st.sampled_from(sim.SCENE_COLOR_INDICES)
+_rgb = st.one_of(st.sampled_from([tuple(int(v) for v in c) for c in sim.PALETTE]),
+                 st.tuples(*[st.integers(0, 255)] * 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), table=_colors, bg=_colors, gain=st.floats(0.5, 1.5),
+       object_colors=st.lists(_colors, max_size=3), t=st.integers(1, 3))
+def test_remap_frames_matches_per_colour_reference(data, table, bg, gain,
+                                                   object_colors, t):
+    """Unmapped colours, robot pixels, src == dst pairs and 1-frame videos."""
+    objects = [SceneObject(sim.SHAPES[i], c, 0.1, (0.2 + 0.3 * i, 0.4))
+               for i, c in enumerate(object_colors)]
+    scene = SceneSpec(table_color=table, background_id=f"bg{bg}",
+                      background_color=bg, lighting_gain=gain,
+                      objects=tuple(objects), target_index=0,
+                      distractor_count=max(len(objects) - 1, 0))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    poses = sim.initial_state(scene).object_poses
+    frames = np.stack([
+        sim.render(scene, sim.WorldState(rng.uniform(-np.pi, np.pi, (2, 2)),
+                                         np.array([1.0, 0.0]), poses, (None, None)), 16)
+        for _ in range(t)])
+    for rgb in data.draw(st.lists(_rgb, max_size=20)):
+        frames[rng.integers(t), rng.integers(16), rng.integers(16)] = rgb
+    used = sorted({table, bg, *object_colors})
+    palette_map = data.draw(st.dictionaries(st.sampled_from(used), _colors))
+    new_gain = data.draw(st.one_of(st.none(), st.just(gain), st.floats(0.5, 1.5)))
+    out, new_scene = synthgen.remap_frames(frames, scene, palette_map, new_gain)
+    ref, ref_scene = reference_remap(frames, scene, palette_map, new_gain)
+    assert out.dtype == np.uint8 and out.shape == frames.shape
+    assert np.array_equal(out, ref)
+    assert new_scene == ref_scene
 
 
 # -- instruction proposal ---------------------------------------------------------
