@@ -1,22 +1,29 @@
 """Binary parameter checkpoints.
 
-Layout: magic b"TCKP", version u16 little-endian, then one record per tensor:
-name length u32, UTF-8 name, rank u32, dims u64[rank], float64 payload
-(row-major, little-endian). Records run to EOF and are written in sorted name
-order so identical parameter sets produce byte-identical files. Scalar
-metadata (dims, flags such as frozen markers) is stored as ordinary tensors
-under the "meta/" prefix.
+Layout: magic b"TCKP", version u16 little-endian, then one record per tensor
+in the record layout shared with NTRJ episodes (see `dataset`), without the
+kind byte: name length u32, UTF-8 name, rank u32, dims u64[rank], float64
+payload (row-major, little-endian). Records run to EOF and are written in
+sorted name order so identical parameter sets produce byte-identical files.
+Scalar metadata (a model's hyper fields, flags such as the encoder's frozen
+marker) is stored as one-element tensors under the "meta/" prefix.
 """
 
 from __future__ import annotations
 
 import struct
+from dataclasses import fields
 from pathlib import Path
+from typing import TypeVar
 
 import numpy as np
 
+from .dataset import CORRUPT_ERRORS, check_header, read_array, read_name, write_array, write_name
+
 MAGIC = b"TCKP"
 VERSION = 1
+
+H = TypeVar("H")
 
 
 class CheckpointError(RuntimeError):
@@ -35,46 +42,38 @@ def save_checkpoint(path, params: dict[str, np.ndarray],
         f.write(struct.pack("<H", VERSION))
         for name in sorted(records):
             arr = records[name]
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<I", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<I", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            f.write(arr.astype("<f8").tobytes(order="C"))
+            write_name(f, name)
+            write_array(f, arr.shape, arr.astype("<f8").tobytes(order="C"))
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, float]]:
+    """Read one TCKP file; truncated or corrupt content raises CheckpointError."""
     raw = Path(path).read_bytes()
-    if raw[:4] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic {raw[:4]!r}")
-    (version,) = struct.unpack_from("<H", raw, 4)
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
-    pos = 6
     params: dict[str, np.ndarray] = {}
     meta: dict[str, float] = {}
-    while pos < len(raw):
-        try:
-            (name_len,) = struct.unpack_from("<I", raw, pos)
-            pos += 4
-            if len(raw) - pos < name_len:
-                raise struct.error("short name")
-            name = raw[pos:pos + name_len].decode("utf-8")
-            pos += name_len
-            (rank,) = struct.unpack_from("<I", raw, pos)
-            pos += 4
-            dims = struct.unpack_from(f"<{rank}Q", raw, pos)
-            pos += 8 * rank
-            count = int(np.prod(dims)) if rank else 1
-            payload = raw[pos:pos + 8 * count]
-            if len(payload) < 8 * count:
-                raise struct.error("short payload")
-            pos += 8 * count
-        except struct.error as exc:
-            raise CheckpointError(f"{path}: truncated record ({exc})") from exc
-        arr = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
-        if name.startswith("meta/"):
-            meta[name[len("meta/"):]] = float(arr.reshape(-1)[0])
-        else:
-            params[name] = arr
+    try:
+        check_header(raw, MAGIC, VERSION)
+        pos = 6
+        while pos < len(raw):
+            name, pos = read_name(raw, pos)
+            dims, payload, pos = read_array(raw, pos, 8)
+            arr = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
+            if name.startswith("meta/"):
+                meta[name[len("meta/"):]] = float(arr.reshape(-1)[0])
+            else:
+                params[name] = arr
+    except CORRUPT_ERRORS as exc:
+        raise CheckpointError(f"{path}: truncated or corrupt ({exc!r})") from exc
     return params, meta
+
+
+def hyper_from_meta(cls: type[H], meta: dict[str, float]) -> H:
+    """Rebuild the hyper dataclass `cls` from checkpoint meta; every field
+    must be present with an integral value."""
+    values = {}
+    for f in fields(cls):
+        value = meta.get(f.name)
+        if value is None or not float(value).is_integer():
+            raise CheckpointError(f"meta field {f.name!r} missing or not an integer: {value!r}")
+        values[f.name] = int(value)
+    return cls(**values)

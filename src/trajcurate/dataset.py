@@ -14,6 +14,7 @@ making the format bit-reproducible and language-neutral.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,7 +29,6 @@ from .sim import (
     Instruction,
     SceneDiversity,
     SceneSpec,
-    WorldState,
 )
 
 MAGIC = b"NTRJ"
@@ -275,8 +275,70 @@ def collect_demos(n: int, diversity: SceneDiversity = SceneDiversity(),
 
 
 # -- binary serialization -------------------------------------------------------------
+#
+# NTRJ episodes and TCKP checkpoints share one record layout: magic (4 bytes),
+# version u16, then records to EOF of name length u32, UTF-8 name, rank u32,
+# dims u64[rank] and the row-major payload. NTRJ adds a kind byte between the
+# name and the rank; checkpoints have none. All integers are little-endian.
 
-_DTYPE_U8, _DTYPE_F64, _DTYPE_I64, _DTYPE_JSON = 0, 1, 2, 3
+_DTYPE_U8, _DTYPE_F64, _DTYPE_JSON = 0, 1, 3
+_ITEM_SIZE = {_DTYPE_U8: 1, _DTYPE_F64: 8, _DTYPE_JSON: 1}
+_NP_DTYPE = {_DTYPE_U8: np.uint8, _DTYPE_F64: "<f8"}
+
+# Errors that parsing malformed bytes can raise: struct reads past the end,
+# unknown section kinds or missing keys, bad headers and undecodable text or
+# JSON (all ValueErrors), impossible reshapes, fields of the wrong type, and
+# JSON infinities cast to int.
+CORRUPT_ERRORS = (struct.error, LookupError, ValueError, TypeError, OverflowError)
+
+
+def write_name(f, name: str) -> None:
+    encoded = name.encode()
+    f.write(struct.pack("<I", len(encoded)))
+    f.write(encoded)
+
+
+def write_array(f, dims: tuple[int, ...], payload: bytes) -> None:
+    f.write(struct.pack(f"<I{len(dims)}Q", len(dims), *dims))
+    f.write(payload)
+
+
+def check_header(raw: bytes, magic: bytes, version: int) -> None:
+    if raw[:4] != magic:
+        raise ValueError(f"bad magic {raw[:4]!r}")
+    if len(raw) < 6:
+        raise ValueError("truncated before the version")
+    (found,) = struct.unpack_from("<H", raw, 4)
+    if found != version:
+        raise ValueError(f"unsupported version {found}")
+
+
+def read_name(raw: bytes, pos: int) -> tuple[str, int]:
+    """The record name at `pos`, and the position after it."""
+    (name_len,) = struct.unpack_from("<I", raw, pos)
+    pos += 4
+    if len(raw) - pos < name_len:
+        raise struct.error("short name")
+    return raw[pos:pos + name_len].decode(), pos + name_len
+
+
+def read_array(raw: bytes, pos: int, item_size: int) -> tuple[tuple[int, ...], bytes, int]:
+    """Dims and payload of the array at `pos`, and the position after it."""
+    (rank,) = struct.unpack_from("<I", raw, pos)
+    pos += 4
+    if 8 * rank > len(raw) - pos:
+        raise struct.error("short dims")
+    dims = struct.unpack_from(f"<{rank}Q", raw, pos)
+    pos += 8 * rank
+    remaining = len(raw) - pos
+    # clamped as it grows, so corrupt dims cannot overflow or build a
+    # huge integer; the clamp never changes whether it fits
+    nbytes = item_size
+    for d in dims:
+        nbytes = min(nbytes * d, remaining + 1)
+    if nbytes > remaining:
+        raise struct.error(f"dims {dims} need more than the {remaining} bytes left")
+    return dims, raw[pos:pos + nbytes], pos + nbytes
 
 
 def _canon_json(obj) -> bytes:
@@ -284,13 +346,9 @@ def _canon_json(obj) -> bytes:
 
 
 def _write_section(f, name: str, kind: int, payload: bytes, dims: tuple[int, ...]):
-    encoded = name.encode()
-    f.write(struct.pack("<I", len(encoded)))
-    f.write(encoded)
+    write_name(f, name)
     f.write(struct.pack("<B", kind))
-    f.write(struct.pack("<I", len(dims)))
-    f.write(struct.pack(f"<{len(dims)}Q", *dims))
-    f.write(payload)
+    write_array(f, dims, payload)
 
 
 def write_episode(episode: Episode, path) -> None:
@@ -316,45 +374,13 @@ def write_episode(episode: Episode, path) -> None:
         _write_section(f, "provenance", _DTYPE_JSON, prov, (len(prov),))
 
 
-_ITEM_SIZE = {_DTYPE_U8: 1, _DTYPE_F64: 8, _DTYPE_I64: 8, _DTYPE_JSON: 1}
-_NP_DTYPE = {_DTYPE_U8: np.uint8, _DTYPE_F64: "<f8", _DTYPE_I64: "<i8"}
-
-
-# Errors that parsing malformed bytes can raise: struct reads past the end,
-# unknown section kinds or missing keys, undecodable text or JSON (both
-# ValueErrors), impossible reshapes, fields of the wrong type, and JSON
-# infinities cast to int.
-_CORRUPT = (struct.error, LookupError, ValueError, TypeError, OverflowError)
-
-
 def _read_sections(raw: bytes) -> dict[str, object]:
     pos = 6
     sections: dict[str, object] = {}
     while pos < len(raw):
-        (name_len,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        if len(raw) - pos < name_len:
-            raise struct.error("short name")
-        name = raw[pos:pos + name_len].decode()
-        pos += name_len
+        name, pos = read_name(raw, pos)
         (kind,) = struct.unpack_from("<B", raw, pos)
-        pos += 1
-        (rank,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        if 8 * rank > len(raw) - pos:
-            raise struct.error("short dims")
-        dims = struct.unpack_from(f"<{rank}Q", raw, pos)
-        pos += 8 * rank
-        remaining = len(raw) - pos
-        # clamped as it grows, so corrupt dims cannot overflow or build a
-        # huge integer; the clamp never changes whether it fits
-        nbytes = _ITEM_SIZE[kind] if rank else 0
-        for d in dims:
-            nbytes = min(nbytes * d, remaining + 1)
-        if nbytes > remaining:
-            raise struct.error(f"dims {dims} need more than the {remaining} bytes left")
-        payload = raw[pos:pos + nbytes]
-        pos += nbytes
+        dims, payload, pos = read_array(raw, pos + 1, _ITEM_SIZE[kind])
         if kind == _DTYPE_JSON:
             sections[name] = json.loads(payload.decode())
         else:
@@ -365,18 +391,9 @@ def _read_sections(raw: bytes) -> dict[str, object]:
 def read_episode(path) -> Episode:
     """Read one NTRJ file; truncated or corrupt content raises DatasetError."""
     raw = Path(path).read_bytes()
-    if raw[:4] != MAGIC:
-        raise DatasetError(f"{path}: bad magic {raw[:4]!r}")
-    if len(raw) < 6:
-        raise DatasetError(f"{path}: truncated before the version")
-    (version,) = struct.unpack_from("<H", raw, 4)
-    if version != VERSION:
-        raise DatasetError(f"{path}: unsupported version {version}")
     try:
+        check_header(raw, MAGIC, VERSION)
         sections = _read_sections(raw)
-    except _CORRUPT as exc:
-        raise DatasetError(f"{path}: truncated or corrupt section ({exc!r})") from exc
-    try:
         header = sections["header"]
         return Episode(
             episode_id=int(header["episode_id"]),
@@ -388,8 +405,8 @@ def read_episode(path) -> Episode:
             actions=np.array(sections["actions"], dtype=np.float64),
             provenance=sections["provenance"],
         )
-    except _CORRUPT as exc:
-        raise DatasetError(f"{path}: missing or invalid section ({exc!r})") from exc
+    except CORRUPT_ERRORS as exc:
+        raise DatasetError(f"{path}: truncated or corrupt ({exc!r})") from exc
 
 
 def episode_filename(episode_id: int) -> str:
@@ -398,16 +415,25 @@ def episode_filename(episode_id: int) -> str:
 
 def save_dataset(episodes: list[Episode], path, name: str = "dataset",
                  seed: int = 0) -> None:
-    """Write episode files first, manifest last (the commit point)."""
+    """Write episode files first, manifest last (the commit point).
+
+    An existing manifest is removed before any episode is rewritten, and the
+    new one is renamed into place whole, so a crash midway leaves a directory
+    that `load_dataset` rejects rather than a manifest over mixed episodes.
+    """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
+    manifest_path = path / "manifest.json"
+    manifest_path.unlink(missing_ok=True)
     ids = []
     for episode in episodes:
         write_episode(episode, path / episode_filename(episode.episode_id))
         ids.append(int(episode.episode_id))
     manifest = {"name": name, "seed": int(seed), "count": len(ids),
                 "episode_ids": ids}
-    (path / "manifest.json").write_bytes(_canon_json(manifest))
+    tmp = path / "manifest.json.tmp"
+    tmp.write_bytes(_canon_json(manifest))
+    os.replace(tmp, manifest_path)
 
 
 def load_dataset(path) -> list[Episode]:
@@ -415,14 +441,18 @@ def load_dataset(path) -> list[Episode]:
     manifest_path = path / "manifest.json"
     if not manifest_path.exists():
         raise DatasetError(f"{path}: missing manifest.json")
-    manifest = json.loads(manifest_path.read_text())
-    ids = manifest["episode_ids"]
-    if manifest["count"] != len(ids):
-        raise DatasetError(f"{path}: manifest count {manifest['count']} != "
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        ids = manifest["episode_ids"]
+        count = manifest["count"]
+        ep_paths = [path / episode_filename(eid) for eid in ids]
+    except CORRUPT_ERRORS as exc:
+        raise DatasetError(f"{path}: corrupt manifest.json ({exc!r})") from exc
+    if count != len(ids):
+        raise DatasetError(f"{path}: manifest count {count} != "
                            f"{len(ids)} listed episodes")
     episodes = []
-    for eid in ids:
-        ep_path = path / episode_filename(eid)
+    for eid, ep_path in zip(ids, ep_paths):
         if not ep_path.exists():
             raise DatasetError(f"{path}: manifest lists missing episode {eid}")
         episodes.append(read_episode(ep_path))

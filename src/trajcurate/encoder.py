@@ -5,21 +5,22 @@ spans 61 original frames), tokenized as 2-frame tubelets over a 16px patch
 grid. Pretraining is restyle-contrastive: the two views of a clip are exact
 palette recolorings of the same pixels, so agreement can only come from
 geometry and motion, never from appearance. After pretraining the encoder is
-frozen; the attentive probe and the cosine baseline both read its tokens.
+frozen and the attentive probe reads its tokens. A cosine-similarity baseline
+scorer over pooled tokens is left out until curation needs one.
 
 Videos shorter than one clip are front-padded by repeating frame 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import hyper_from_meta, load_checkpoint, save_checkpoint
 from .dataset import Episode
 from .nn import Linear, ParamStore, Trunk, patchify
-from .optim import AdamW, LrSchedule, wsd_lr
+from .optim import AdamW, LrSchedule, train_step, wsd_lr
 from .seeding import rng_for
 from .synthgen import random_palette_map, remap_frames
 from .tensor import Tensor, no_grad
@@ -27,10 +28,6 @@ from .tensor import Tensor, no_grad
 CLIP_LEN = 16        # frames per clip, after stride subsampling
 STRIDE = 4           # temporal stride (original frames per effective frame)
 GRID_STEP = 4        # clip-start grid step, in effective frames
-
-
-class FrozenEncoderError(RuntimeError):
-    pass
 
 
 # -- clip geometry -------------------------------------------------------------------
@@ -53,16 +50,6 @@ def pad_effective(video_eff: np.ndarray, clip_len: int = CLIP_LEN) -> np.ndarray
         return video_eff
     pad = np.repeat(video_eff[:1], clip_len - len(video_eff), axis=0)
     return np.concatenate([pad, video_eff], axis=0)
-
-
-def extract_clip(video: np.ndarray, start: int, stride: int = STRIDE,
-                 clip_len: int = CLIP_LEN) -> np.ndarray:
-    """Clip at effective-frame index `start` from an original-rate video."""
-    eff = pad_effective(effective_video(video, stride), clip_len)
-    clip = eff[start:start + clip_len]
-    if len(clip) != clip_len:
-        raise ValueError(f"start {start} leaves only {len(clip)} effective frames")
-    return clip
 
 
 # -- model ----------------------------------------------------------------------------
@@ -100,11 +87,6 @@ class EncoderModel:
     def params(self) -> dict[str, Tensor]:
         return self.store.params
 
-    def trainable_params(self) -> dict[str, Tensor]:
-        if self.frozen:
-            raise FrozenEncoderError("encoder is frozen; gradients are unavailable")
-        return self.store.params
-
     def _tubelets(self, clips: np.ndarray) -> np.ndarray:
         h = self.hyper
         b, t = clips.shape[0], clips.shape[1]
@@ -128,50 +110,16 @@ class EncoderModel:
             return self.encode(clips).data
 
     def save(self, path) -> None:
-        save_checkpoint(path, self.store.arrays(), meta={
-            "dim": self.hyper.dim, "heads": self.hyper.heads,
-            "blocks": self.hyper.blocks, "patch": self.hyper.patch,
-            "tubelet": self.hyper.tubelet, "clip_len": self.hyper.clip_len,
-            "stride": self.hyper.stride, "resolution": self.hyper.resolution,
-            "frozen": 1.0 if self.frozen else 0.0,
-        })
+        save_checkpoint(path, self.store.arrays(),
+                        meta={**asdict(self.hyper), "frozen": float(self.frozen)})
 
     @classmethod
     def load(cls, path) -> "EncoderModel":
         arrays, meta = load_checkpoint(path)
-        hyper = EncoderHyper(dim=int(meta["dim"]), heads=int(meta["heads"]),
-                             blocks=int(meta["blocks"]), patch=int(meta["patch"]),
-                             tubelet=int(meta["tubelet"]),
-                             clip_len=int(meta["clip_len"]),
-                             stride=int(meta["stride"]),
-                             resolution=int(meta["resolution"]))
-        model = cls(hyper)
+        model = cls(hyper_from_meta(EncoderHyper, meta))
         model.store.load(arrays)
         model.frozen = bool(meta.get("frozen", 0.0))
         return model
-
-
-def encode_clip(clip: np.ndarray, model: EncoderModel) -> np.ndarray:
-    """Deterministic token matrix M x D for one clip."""
-    if len(clip) != model.hyper.clip_len:
-        raise ValueError(f"clip has {len(clip)} frames, need {model.hyper.clip_len}")
-    return model.encode_np(clip[None])[0]
-
-
-def pooled_embedding(tokens: np.ndarray) -> np.ndarray:
-    tokens = np.asarray(tokens, dtype=np.float64)
-    if tokens.ndim < 2 or tokens.shape[-2] < 1:
-        raise ValueError("need at least one token")
-    return tokens.mean(axis=-2)
-
-
-def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine similarity undefined for zero-norm input")
-    return float(u @ v / (nu * nv))
 
 
 # -- contrastive pretraining --------------------------------------------------------------
@@ -218,7 +166,6 @@ def pretrain_encoder(episodes: list[Episode],
 
     model = EncoderModel(hyper, seed=config.seed)
     opt = AdamW(weight_decay=config.weight_decay)
-    arrays = {k: t.data for k, t in model.params.items()}
     schedule = LrSchedule(base_lr=config.lr, total_steps=config.steps,
                           stable_steps=max(1, int(config.steps * 0.8)))
 
@@ -238,15 +185,10 @@ def pretrain_encoder(episodes: list[Episode],
                 recolored, _ = remap_frames(clip, ep.scene, pal, gain)
                 views.append(recolored)
         batch = np.stack(views)                       # (2B, clip_len, H, W, 3)
-        for t in model.params.values():
-            t.grad = None
-        tokens = model.encode(batch)
-        pooled = tokens.mean(axis=1)
-        loss = nt_xent_loss(pooled, config.temperature)
-        loss.backward()
-        grads = {k: (t.grad if t.grad is not None else np.zeros_like(t.data))
-                 for k, t in model.params.items()}
-        opt.step(arrays, grads, lr=wsd_lr(step_idx, schedule))
+        train_step(model.params,
+                   lambda: nt_xent_loss(model.encode(batch).mean(axis=1),
+                                        config.temperature),
+                   opt, wsd_lr(step_idx, schedule))
 
     model.frozen = True
     return model

@@ -13,7 +13,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .optim import AdamW, LrSchedule, wsd_lr
+from .optim import AdamW, LrSchedule, train_step, wsd_lr
 from .seeding import rng_for
 from .tensor import Tensor
 
@@ -113,7 +113,6 @@ def train_fm(model: VelocityModel,
     per-step loss log. Zero steps leave the model untouched.
     """
     opt = AdamW(betas=config.betas, weight_decay=config.weight_decay)
-    arrays = {name: t.data for name, t in model.params.items()}
     losses: list[float] = []
     for step_idx in range(config.steps):
         rng = rng_for(config.seed, "fm-step", step_idx)
@@ -125,18 +124,15 @@ def train_fm(model: VelocityModel,
             conditioning=conditioning,
         )
         x_t = interpolate(batch.clean, batch.noise, batch.time)
-        for t in model.params.values():
-            t.grad = None
         try:
-            v = model.velocity(x_t, batch.time, batch.conditioning)
-            loss = fm_loss(v, batch.clean, batch.noise)
-            loss.backward()
+            loss = train_step(
+                model.params,
+                lambda: fm_loss(model.velocity(x_t, batch.time, batch.conditioning),
+                                batch.clean, batch.noise),
+                opt, wsd_lr(step_idx, config.schedule))
         except FloatingPointError as exc:
             raise RuntimeError(
                 f"non-finite loss at step {step_idx} "
                 f"(last finite losses: {losses[-3:]})") from exc
-        grads = {name: t.grad if t.grad is not None else np.zeros_like(t.data)
-                 for name, t in model.params.items()}
-        opt.step(arrays, grads, lr=wsd_lr(step_idx, config.schedule))
-        losses.append(loss.item())
+        losses.append(loss)
     return losses

@@ -11,12 +11,12 @@ always receives exactly T-1 action rows.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import flow, sim
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import hyper_from_meta, load_checkpoint, save_checkpoint
 from .dataset import Episode
 from .nn import Linear, ParamStore, Trunk, patchify, time_features
 from .seeding import derive_seed, rng_for
@@ -103,27 +103,14 @@ class IdmModel:
 
     # -- persistence -----------------------------------------------------------
     def save(self, path) -> None:
-        arrays = dict(self.store.arrays())
-        arrays["norm/mean"] = self.norm_mean
-        arrays["norm/std"] = self.norm_std
-        save_checkpoint(path, arrays, meta={
-            "dim": self.hyper.dim, "heads": self.hyper.heads,
-            "blocks": self.hyper.blocks, "patch": self.hyper.patch,
-            "horizon": self.hyper.horizon, "resolution": self.hyper.resolution,
-            "euler_steps": self.hyper.euler_steps,
-            "sample_avg": self.hyper.sample_avg,
-        })
+        arrays = {**self.store.arrays(), "norm/mean": self.norm_mean,
+                  "norm/std": self.norm_std}
+        save_checkpoint(path, arrays, meta=asdict(self.hyper))
 
     @classmethod
     def load(cls, path) -> "IdmModel":
         arrays, meta = load_checkpoint(path)
-        hyper = IdmHyper(dim=int(meta["dim"]), heads=int(meta["heads"]),
-                         blocks=int(meta["blocks"]), patch=int(meta["patch"]),
-                         horizon=int(meta["horizon"]),
-                         resolution=int(meta["resolution"]),
-                         euler_steps=int(meta["euler_steps"]),
-                         sample_avg=int(meta.get("sample_avg", 1)))
-        model = cls(hyper)
+        model = cls(hyper_from_meta(IdmHyper, meta))
         model.norm_mean = arrays.pop("norm/mean")
         model.norm_std = arrays.pop("norm/std")
         model.store.load(arrays)

@@ -1,73 +1,71 @@
-"""AdamW with decoupled weight decay, and the stable-then-decay LR schedule."""
+"""AdamW with decoupled weight decay, one training step, and the
+stable-then-decay LR schedule."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-__all__ = ["OptimizerState", "adamw_step", "AdamW", "LrSchedule", "wsd_lr"]
+from .tensor import Tensor
 
-
-@dataclass
-class OptimizerState:
-    """Per-parameter first/second moments plus the shared step count."""
-    first_moment: dict[str, np.ndarray] = field(default_factory=dict)
-    second_moment: dict[str, np.ndarray] = field(default_factory=dict)
-    step_count: int = 0
-
-
-def adamw_step(params: dict[str, np.ndarray],
-               grads: dict[str, np.ndarray],
-               state: OptimizerState,
-               lr: float,
-               betas: tuple[float, float] = (0.9, 0.999),
-               eps: float = 1e-8,
-               weight_decay: float = 0.0) -> tuple[dict[str, np.ndarray], OptimizerState]:
-    """One AdamW update. Decay is decoupled: p <- p - lr*wd*p, not folded into grads."""
-    if lr <= 0:
-        raise ValueError("lr must be positive")
-    b1, b2 = betas
-    state.step_count += 1
-    t = state.step_count
-    out: dict[str, np.ndarray] = {}
-    for name in params:
-        p = params[name]
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != param shape {p.shape} for {name!r}")
-        m = state.first_moment.get(name)
-        v = state.second_moment.get(name)
-        if m is None:
-            m = np.zeros_like(p)
-            v = np.zeros_like(p)
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        state.first_moment[name] = m
-        state.second_moment[name] = v
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        out[name] = p - lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p)
-    return out, state
+__all__ = ["AdamW", "train_step", "LrSchedule", "wsd_lr"]
 
 
 class AdamW:
-    """Stateful wrapper used by the training loops; updates arrays in place."""
+    """AdamW with per-parameter moments and a shared step count.
+
+    Decay is decoupled: p <- p - lr*wd*p, not folded into the gradients.
+    `step` updates the parameter arrays in place.
+    """
 
     def __init__(self, betas: tuple[float, float] = (0.9, 0.999),
                  eps: float = 1e-8, weight_decay: float = 0.0):
         self.betas = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        self.state = OptimizerState()
+        self.first_moment: dict[str, np.ndarray] = {}
+        self.second_moment: dict[str, np.ndarray] = {}
+        self.step_count = 0
 
     def step(self, params: dict[str, np.ndarray],
              grads: dict[str, np.ndarray], lr: float) -> None:
-        updated, _ = adamw_step(params, grads, self.state, lr,
-                                betas=self.betas, eps=self.eps,
-                                weight_decay=self.weight_decay)
-        for name, arr in updated.items():
-            params[name][...] = arr
+        if lr <= 0:
+            raise ValueError("lr must be positive")
+        b1, b2 = self.betas
+        self.step_count += 1
+        t = self.step_count
+        for name, p in params.items():
+            g = grads[name]
+            if g.shape != p.shape:
+                raise ValueError(f"gradient shape {g.shape} != param shape {p.shape} for {name!r}")
+            if name not in self.first_moment:
+                self.first_moment[name] = self.second_moment[name] = np.zeros_like(p)
+            m = b1 * self.first_moment[name] + (1.0 - b1) * g
+            v = b2 * self.second_moment[name] + (1.0 - b2) * g * g
+            self.first_moment[name] = m
+            self.second_moment[name] = v
+            m_hat = m / (1.0 - b1 ** t)
+            v_hat = v / (1.0 - b2 ** t)
+            p[...] = p - lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p)
+
+
+def train_step(params: dict[str, Tensor], loss_fn: Callable[[], Tensor],
+               opt: AdamW, lr: float) -> float:
+    """Zero the grads, backpropagate loss_fn() and take one optimizer step.
+
+    An unused parameter gets a zero gradient. Returns the loss as a float, so
+    the caller holds no reference to the step's autodiff graph.
+    """
+    for t in params.values():
+        t.grad = None
+    loss = loss_fn()
+    loss.backward()
+    grads = {name: t.grad if t.grad is not None else np.zeros_like(t.data)
+             for name, t in params.items()}
+    opt.step({name: t.data for name, t in params.items()}, grads, lr)
+    return loss.item()
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,12 @@ flag).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import sim
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import hyper_from_meta, load_checkpoint, save_checkpoint
 from .dataset import Episode
 from .encoder import (
     CLIP_LEN,
@@ -32,7 +32,7 @@ from .encoder import (
     pad_effective,
 )
 from .nn import Linear, ParamStore
-from .optim import AdamW
+from .optim import AdamW, train_step
 from .seeding import rng_for
 from .synthgen import NeuralSample
 from .tensor import Tensor, attention, concat, no_grad
@@ -168,31 +168,21 @@ class ProbeModel:
         return logits
 
     def save(self, path) -> None:
-        save_checkpoint(path, self.store.arrays(),
-                        meta={"dim": self.hyper.dim, "heads": self.hyper.heads})
+        save_checkpoint(path, self.store.arrays(), meta=asdict(self.hyper))
 
     @classmethod
     def load(cls, path) -> "ProbeModel":
         arrays, meta = load_checkpoint(path)
-        model = cls(ProbeHyper(dim=int(meta["dim"]), heads=int(meta["heads"])))
+        model = cls(hyper_from_meta(ProbeHyper, meta))
         model.store.load(arrays)
         return model
-
-
-def probe_forward(z1: np.ndarray, z2: np.ndarray, probe: ProbeModel) -> float:
-    with no_grad():
-        return float(probe.forward(z1, z2).data[0])
 
 
 def alignment_prob(logit):
     logit = np.asarray(logit, dtype=np.float64)
     if not np.all(np.isfinite(logit)):
         raise ValueError("logit must be finite")
-    out = np.empty_like(logit)
-    pos = logit >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-logit[pos]))
-    ex = np.exp(logit[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = Tensor(logit).sigmoid().data
     return out if out.ndim else float(out)
 
 
@@ -287,10 +277,10 @@ def train_probe(pair_set: PairSet, encoder: EncoderModel,
 
     probe = ProbeModel(ProbeHyper(dim=encoder.hyper.dim), seed=config.seed)
     opt = AdamW(weight_decay=config.weight_decay)
-    arrays = {k: t.data for k, t in probe.params.items()}
+    arrays = probe.store.arrays()
     report = ProbeTrainReport()
     best_val = np.inf
-    best_arrays: dict[str, np.ndarray] = {k: v.copy() for k, v in arrays.items()}
+    best_arrays = {k: v.copy() for k, v in arrays.items()}
     since_best = 0
 
     z1v, z2v, yv = cache.batch(val_pairs)
@@ -300,14 +290,9 @@ def train_probe(pair_set: PairSet, encoder: EncoderModel,
         for lo in range(0, len(order), config.batch_pairs):
             batch = [train_pairs[i] for i in order[lo:lo + config.batch_pairs]]
             z1, z2, y = cache.batch(batch)
-            for t in probe.params.values():
-                t.grad = None
-            loss = _bce_tensor(probe.forward(z1, z2), y)
-            loss.backward()
-            grads = {k: (t.grad if t.grad is not None else np.zeros_like(t.data))
-                     for k, t in probe.params.items()}
-            opt.step(arrays, grads, lr=config.lr)
-            epoch_losses.append(loss.item())
+            epoch_losses.append(train_step(
+                probe.params, lambda: _bce_tensor(probe.forward(z1, z2), y),
+                opt, config.lr))
         report.train_bce.append(float(np.mean(epoch_losses)))
         with no_grad():
             val_logits = probe.forward(z1v, z2v).data
@@ -328,16 +313,6 @@ def train_probe(pair_set: PairSet, encoder: EncoderModel,
     preds = alignment_prob(val_logits) > 0.5
     report.val_accuracy = float(np.mean(preds == (yv > 0.5)))
     return probe, report
-
-
-def pair_accuracy(pair_set: PairSet, pairs: list[ClipPair],
-                  encoder: EncoderModel, probe: ProbeModel) -> float:
-    cache = _ClipCache(PairSet(pairs, pair_set.real_eff, pair_set.sim_eff,
-                               pair_set.starts, pair_set.clip_len), encoder)
-    z1, z2, y = cache.batch(pairs)
-    with no_grad():
-        logits = probe.forward(z1, z2).data
-    return float(np.mean((alignment_prob(logits) > 0.5) == (y > 0.5)))
 
 
 # -- sample scoring --------------------------------------------------------------------

@@ -31,7 +31,6 @@ from .sim import Instruction, SceneSpec, WorldState
 
 CORRUPTION_KINDS = ("none", "tele_grab", "offset_grasp", "object_drift",
                     "temporal_jitter", "wrong_task")
-PHYSICAL_KINDS = ("tele_grab", "offset_grasp", "object_drift", "temporal_jitter")
 
 EDIT_AXES = ("table", "target_object", "lighting", "background")
 

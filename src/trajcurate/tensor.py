@@ -1,8 +1,9 @@
 """Minimal reverse-mode autodiff over dense float64 numpy arrays.
 
 The op set is deliberately small: elementwise arithmetic, matmul, reductions,
-reshape/transpose/concat/slice, exp/log/sqrt, sigmoid, GELU, softmax,
-log-softmax, embedding lookup, and scaled dot-product multi-head attention.
+reshape/transpose/concat/slice and indexing, exp/log/sqrt, sigmoid, GELU,
+softmax, log-softmax, and scaled dot-product multi-head attention. Row lookup
+is plain advanced indexing (`table[idx]`), whose gradient scatter-adds.
 Everything trainable in this package is a patch-token transformer built from
 these ops, so nothing else is needed. All values are float64 and all kernels
 are deterministic (no parallel reduction reordering), which is what makes the
@@ -13,21 +14,18 @@ from __future__ import annotations
 
 import contextlib
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import erf
 
 __all__ = [
     "Tensor",
-    "tensor",
     "concat",
-    "embedding",
     "attention",
     "autodiff_grad",
     "finite_diff_grad",
     "no_grad",
-    "grad_enabled",
 ]
 
 _GRAD_ENABLED = True
@@ -43,10 +41,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
-
-
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -97,9 +91,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     # -- graph mechanics ----------------------------------------------------
     def _accumulate(self, g: np.ndarray) -> None:
@@ -386,10 +377,6 @@ class Tensor:
         return out
 
 
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [Tensor._coerce(t) for t in tensors]
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis),
@@ -404,20 +391,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(a, b)
                 t._accumulate(g[tuple(sl)])
-    out._backward = backward if out.requires_grad else None
-    return out
-
-
-def embedding(table: Tensor, idx) -> Tensor:
-    """Row lookup `table[idx]` with scatter-add gradient into the table."""
-    idx = np.asarray(idx, dtype=np.int64)
-    out = Tensor(table.data[idx], requires_grad=table.requires_grad,
-                 _parents=(table,))
-
-    def backward(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, idx, g)
-        table._accumulate(full)
     out._backward = backward if out.requires_grad else None
     return out
 

@@ -204,3 +204,42 @@ def test_saved_bytes_deterministic(tmp_path):
     dataset.write_episode(ep, p1)
     dataset.write_episode(ep, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_crash_while_overwriting_dataset_leaves_it_unloadable(tmp_path, monkeypatch):
+    path = tmp_path / "ds"
+    dataset.save_dataset([make_episode(eid=i) for i in range(3)], path)
+    real_write = dataset.write_episode
+    written = []
+
+    def crashing_write(episode, ep_path):
+        if written:
+            raise OSError("disk full")
+        written.append(episode.episode_id)
+        real_write(episode, ep_path)
+
+    monkeypatch.setattr(dataset, "write_episode", crashing_write)
+    newer = [make_episode(eid=i, t=7, rng=np.random.default_rng(50 + i)) for i in range(3)]
+    with pytest.raises(OSError):
+        dataset.save_dataset(newer, path)
+    with pytest.raises(dataset.DatasetError, match="missing manifest"):
+        dataset.load_dataset(path)
+
+
+def test_resave_over_dataset_leaves_no_temporary_file(tmp_path):
+    path = tmp_path / "ds"
+    dataset.save_dataset([make_episode(eid=0)], path)
+    dataset.save_dataset([make_episode(eid=0)], path)
+    assert sorted(p.name for p in path.iterdir()) == [dataset.episode_filename(0),
+                                                      "manifest.json"]
+
+
+@pytest.mark.parametrize("text", ['{"count": 1', "[]", '{"count": 1}',
+                                  '{"count": 1, "episode_ids": 5}',
+                                  '{"count": 1, "episode_ids": ["x"]}'])
+def test_corrupt_manifest_raises_dataset_error(tmp_path, text):
+    path = tmp_path / "ds"
+    dataset.save_dataset([make_episode(eid=0)], path)
+    (path / "manifest.json").write_text(text)
+    with pytest.raises(dataset.DatasetError):
+        dataset.load_dataset(path)

@@ -1,0 +1,82 @@
+"""Golden outputs of a tiny fixed-seed run of the whole training stack.
+
+Collects three demonstrations, saves them as a dataset, and trains a tiny
+encoder, probe and IDM on them. The sha256 of every file written and of every
+loss log is pinned, so a refactor that changes any output bit fails here.
+
+Recorded on x86-64 (Intel Xeon, 2 cores), Python 3.11, numpy 2.4 with
+scipy-openblas 0.3.31. BLAS builds may reorder float sums, so on another
+BLAS or CPU these hashes can differ while the code is still correct.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from trajcurate import dataset, encoder, flow, idm, probe
+from trajcurate.optim import LrSchedule
+
+GOLDEN = {
+    "dataset":
+        "54e9fd87e059e0dde10a1b8b3b349e433e50c9061af1d6edc43e8da607a1941e",
+    "encoder.tckp":
+        "3f4a776290517c698ac391d0fcd50eda29ca9d6caeb7565826222658351d3775",
+    "probe.tckp":
+        "b706466be1a0e1a5ba6ca0faa48408000881879ceb45823f46f3925033a19b9d",
+    "idm.tckp":
+        "648b43c289c87c70c496246f15b4008d28c3d16f61e9bf7206b8a1573376b8e9",
+    "idm_losses":
+        "8f1e6c5ad45fe6c50061ef0b9e69259e4fdb010899ff175cf9fb361d43bff9fa",
+    "train_bce":
+        "a9a8832a54622f49f6e837e22c6a1d132ca6562a53305571a140e5cb9c27ad0e",
+    "val_bce":
+        "a5a098218ce53f77c7b802c0ed8d643bf662471914db8084efd00fd22cc8154d",
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _floats_sha(values) -> str:
+    return _sha(np.asarray(values, dtype="<f8").tobytes())
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    demos = dataset.collect_demos(3, seed=5)
+    dataset.save_dataset(demos, root / "ds", seed=5)
+    h = hashlib.sha256()
+    for path in sorted((root / "ds").iterdir()):
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    out = {"dataset": h.hexdigest()}
+
+    enc = encoder.pretrain_encoder(
+        demos, encoder.EncoderTrainConfig(steps=2, batch_clips=3, seed=5),
+        encoder.EncoderHyper(dim=16, heads=2, blocks=1))
+    pairs = probe.build_pairs(demos, seed=5)
+    prb, report = probe.train_probe(pairs, enc, probe.ProbeTrainConfig(
+        lr=1e-3, batch_pairs=8, max_epochs=3, seed=5))
+    schedule = LrSchedule(base_lr=1e-3, total_steps=4, stable_steps=2)
+    model, losses = idm.train_idm(
+        demos, flow.TrainConfig(steps=4, batch_size=4, schedule=schedule, seed=5),
+        idm.IdmHyper(dim=16, heads=2, blocks=1, euler_steps=2, sample_avg=2))
+
+    for name, m in (("encoder", enc), ("probe", prb), ("idm", model)):
+        path = root / f"{name}.tckp"
+        m.save(path)
+        out[f"{name}.tckp"] = _sha(path.read_bytes())
+    out["idm_losses"] = _floats_sha(losses)
+    out["train_bce"] = _floats_sha(report.train_bce)
+    out["val_bce"] = _floats_sha(report.val_bce)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_hash(outputs, name):
+    assert outputs[name] == GOLDEN[name]

@@ -1,0 +1,112 @@
+"""Persistence and invariants of the encoder, probe and IDM models."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trajcurate import idm, sim
+from trajcurate.encoder import EncoderHyper, EncoderModel
+from trajcurate.probe import (
+    LABELS,
+    ClipPair,
+    PairSet,
+    ProbeHyper,
+    ProbeModel,
+    _split_by_episode,
+    score_sample,
+)
+from trajcurate.synthgen import CorruptionSpec, NeuralSample
+
+TINY_ENCODER = EncoderHyper(dim=8, heads=2, blocks=1, resolution=32)
+TINY_PROBE = ProbeHyper(dim=8, heads=2)
+TINY_IDM = idm.IdmHyper(dim=8, heads=2, blocks=1, horizon=4, resolution=32,
+                        euler_steps=2, sample_avg=3)
+
+
+def resave_is_identical(model, cls, tmp_path):
+    first, second = tmp_path / "a.tckp", tmp_path / "b.tckp"
+    model.save(first)
+    loaded = cls.load(first)
+    loaded.save(second)
+    assert first.read_bytes() == second.read_bytes()
+    assert loaded.hyper == model.hyper
+    return loaded
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_encoder_save_load_save_is_byte_identical(tmp_path, frozen):
+    model = EncoderModel(TINY_ENCODER, seed=2)
+    model.frozen = frozen
+    assert resave_is_identical(model, EncoderModel, tmp_path).frozen is frozen
+
+
+def test_probe_save_load_save_is_byte_identical(tmp_path):
+    resave_is_identical(ProbeModel(TINY_PROBE, seed=2), ProbeModel, tmp_path)
+
+
+def test_idm_save_load_save_is_byte_identical(tmp_path):
+    model = idm.IdmModel(TINY_IDM, seed=2)
+    model.norm_mean = np.linspace(-0.01, 0.01, idm.ACTION_DIM)
+    model.norm_std = np.full(idm.ACTION_DIM, 0.05)
+    loaded = resave_is_identical(model, idm.IdmModel, tmp_path)
+    assert np.array_equal(loaded.norm_mean, model.norm_mean)
+    assert np.array_equal(loaded.norm_std, model.norm_std)
+
+
+@pytest.mark.parametrize("label, a, b", [
+    ("positive", (0, 4), (1, 4)),      # different episodes
+    ("positive", (0, 4), (0, 8)),      # different starts
+    ("neg_shift", (0, 4), (1, 8)),     # different episodes
+    ("neg_shift", (0, 4), (0, 4)),     # same start
+    ("neg_cross", (0, 4), (0, 4)),     # same episode
+    ("neg_cross", (0, 4), (1, 8)),     # different starts
+    ("unknown", (0, 4), (0, 4)),
+])
+def test_clip_pair_rejects_broken_invariants(label, a, b):
+    with pytest.raises(ValueError):
+        ClipPair(a[0], a[1], b[0], b[1], label)
+
+
+def test_clip_pair_accepts_each_valid_label():
+    pairs = [ClipPair(0, 4, 0, 4, "positive"), ClipPair(0, 4, 0, 8, "neg_shift"),
+             ClipPair(0, 4, 1, 4, "neg_cross")]
+    assert [p.label for p in pairs] == list(LABELS)
+    assert [p.y for p in pairs] == [1.0, 0.0, 0.0]
+
+
+@settings(max_examples=50, deadline=None)
+@given(n_ep=st.integers(2, 12), val_fraction=st.floats(0.05, 0.95),
+       seed=st.integers(0, 2**32 - 1))
+def test_split_by_episode_keeps_episodes_apart(n_ep, val_fraction, seed):
+    starts = [0, 4, 8]
+    pairs = [ClipPair(i, s, i, s, "positive") for i in range(n_ep) for s in starts]
+    pairs += [ClipPair(i, s, (i + 1) % n_ep, s, "neg_cross")
+              for i in range(n_ep) for s in starts]
+    pair_set = PairSet(pairs, [None] * n_ep, [None] * n_ep, [starts] * n_ep)
+    train, val = _split_by_episode(pair_set, val_fraction, np.random.default_rng(seed))
+    train_eps = {e for p in train for e in (p.episode_a, p.episode_b)}
+    val_eps = {e for p in val for e in (p.episode_a, p.episode_b)}
+    assert not train_eps & val_eps
+    assert val
+
+
+@settings(max_examples=10, deadline=None)
+@given(t=st.integers(2, 70), seed=st.integers(0, 1000),
+       gain=st.sampled_from([1.0, 1e3, 1e6]),
+       aggregation=st.sampled_from(["mean", "min"]))
+def test_score_sample_is_a_probability(t, seed, gain, aggregation):
+    rng = np.random.default_rng(seed)
+    scene = sim.sample_scene(rng)
+    actions = rng.uniform(-sim.A_MAX, sim.A_MAX, size=(t - 1, 6))
+    actions[:, [2, 5]] = rng.uniform(0.0, 1.0, size=(t - 1, 2))
+    sample = NeuralSample(
+        sample_id=0, video=rng.integers(0, 256, size=(t, 32, 32, 3), dtype=np.uint8),
+        instruction=sim.Instruction("pick_place", "circle", 1, "plate", "left"),
+        scene=scene, gt_corruption=CorruptionSpec("none"),
+        exec_log={}, seed=seed, idm_actions=actions)
+    encoder = EncoderModel(TINY_ENCODER, seed=seed)
+    probe = ProbeModel(TINY_PROBE, seed=seed)
+    probe.head.w.data *= gain        # push the logits toward saturation
+    score = score_sample(sample, encoder, probe, aggregation)
+    assert 0.0 <= score <= 1.0

@@ -1,44 +1,44 @@
 import numpy as np
 import pytest
 
-from trajcurate.optim import AdamW, LrSchedule, OptimizerState, adamw_step, wsd_lr
+from trajcurate.optim import AdamW, LrSchedule, wsd_lr
 
 
 def test_adamw_first_step_hand_computed():
     # m_hat = 1, v_hat = 1 -> update = lr * 1/(1 + eps) ~= lr
     params = {"p": np.array([1.0])}
     grads = {"p": np.array([1.0])}
-    out, state = adamw_step(params, grads, OptimizerState(), lr=0.1,
-                            betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0)
-    assert abs(out["p"][0] - 0.9) < 1e-7
-    assert state.step_count == 1
+    opt = AdamW(betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0)
+    opt.step(params, grads, lr=0.1)
+    assert abs(params["p"][0] - 0.9) < 1e-7
+    assert opt.step_count == 1
 
 
 def test_adamw_zero_grad_zero_decay_is_identity():
     params = {"p": np.array([1.0, -2.0])}
-    out, _ = adamw_step(params, {"p": np.zeros(2)}, OptimizerState(), lr=0.1)
-    assert np.array_equal(out["p"], params["p"])
+    AdamW().step(params, {"p": np.zeros(2)}, lr=0.1)
+    assert np.array_equal(params["p"], [1.0, -2.0])
 
 
 def test_adamw_decoupled_decay():
-    out, _ = adamw_step({"p": np.array([1.0])}, {"p": np.zeros(1)},
-                        OptimizerState(), lr=0.1, weight_decay=0.1)
-    assert abs(out["p"][0] - 0.99) < 1e-12
+    params = {"p": np.array([1.0])}
+    AdamW(weight_decay=0.1).step(params, {"p": np.zeros(1)}, lr=0.1)
+    assert abs(params["p"][0] - 0.99) < 1e-12
 
 
 def test_adamw_shape_mismatch():
     with pytest.raises(ValueError):
-        adamw_step({"p": np.ones(2)}, {"p": np.ones(3)}, OptimizerState(), lr=0.1)
+        AdamW().step({"p": np.ones(2)}, {"p": np.ones(3)}, lr=0.1)
 
 
 def test_adamw_second_moment_nonnegative_and_step_increments():
-    state = OptimizerState()
+    opt = AdamW()
     params = {"p": np.array([0.5])}
     for k in range(5):
         grads = {"p": np.array([(-1.0) ** k])}
-        params, state = adamw_step(params, grads, state, lr=0.01)
-        assert state.step_count == k + 1
-        assert np.all(state.second_moment["p"] >= 0)
+        opt.step(params, grads, lr=0.01)
+        assert opt.step_count == k + 1
+        assert np.all(opt.second_moment["p"] >= 0)
 
 
 def test_adamw_wrapper_updates_in_place():
