@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,7 +52,7 @@ def test_header_only_checkpoint_with_version_is_empty(tmp_path):
 
 def test_hyper_from_meta_roundtrip_and_rejects_bad_fields():
     hyper = IdmHyper(dim=8, heads=2, blocks=1)
-    meta = {k: float(v) for k, v in vars(hyper).items()}
+    meta = {k: float(v) for k, v in asdict(hyper).items()}
     assert hyper_from_meta(IdmHyper, meta) == hyper
     for bad in (None, 2.5, float("nan"), float("inf")):
         broken = dict(meta)
