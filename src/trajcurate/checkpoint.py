@@ -11,6 +11,7 @@ marker) is stored as one-element tensors under the "meta/" prefix.
 
 from __future__ import annotations
 
+import contextlib
 import struct
 from dataclasses import fields
 from pathlib import Path
@@ -69,11 +70,26 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, float]]:
 
 def hyper_from_meta(cls: type[H], meta: dict[str, float]) -> H:
     """Rebuild the hyper dataclass `cls` from checkpoint meta; every field
-    must be present with an integral value."""
+    must be present with a positive integral value, and `dim` must split
+    evenly over `heads`."""
     values = {}
     for f in fields(cls):
         value = meta.get(f.name)
-        if value is None or not float(value).is_integer():
-            raise CheckpointError(f"meta field {f.name!r} missing or not an integer: {value!r}")
+        if value is None or not float(value).is_integer() or value < 1:
+            raise CheckpointError(
+                f"meta field {f.name!r} missing or not a positive integer: {value!r}")
         values[f.name] = int(value)
+    if values["dim"] % values["heads"]:
+        raise CheckpointError(
+            f"meta dim {values['dim']} is not divisible by heads {values['heads']}")
     return cls(**values)
+
+
+@contextlib.contextmanager
+def arrays_must_match(path):
+    """Turn a model's rejection of a checkpoint's arrays (a missing, unknown
+    or misshapen one) into CheckpointError."""
+    try:
+        yield
+    except (KeyError, ValueError) as exc:
+        raise CheckpointError(f"{path}: arrays do not match the meta ({exc})") from exc

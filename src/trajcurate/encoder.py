@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .checkpoint import hyper_from_meta, load_checkpoint, save_checkpoint
+from .checkpoint import arrays_must_match, hyper_from_meta, load_checkpoint, save_checkpoint
 from .dataset import Episode
 from .nn import Linear, ParamStore, Trunk, patchify
 from .optim import AdamW, LrSchedule, train_step, wsd_lr
@@ -107,7 +107,7 @@ class EncoderModel:
 
     def encode_np(self, clips: np.ndarray) -> np.ndarray:
         with no_grad():
-            return self.encode(clips).data
+            return self.encode(clips).readout()
 
     def save(self, path) -> None:
         save_checkpoint(path, self.store.arrays(),
@@ -117,7 +117,8 @@ class EncoderModel:
     def load(cls, path) -> "EncoderModel":
         arrays, meta = load_checkpoint(path)
         model = cls(hyper_from_meta(EncoderHyper, meta))
-        model.store.load(arrays)
+        with arrays_must_match(path):
+            model.store.load(arrays)
         model.frozen = bool(meta.get("frozen", 0.0))
         return model
 

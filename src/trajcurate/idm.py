@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import flow, sim
-from .checkpoint import hyper_from_meta, load_checkpoint, save_checkpoint
+from .checkpoint import arrays_must_match, hyper_from_meta, load_checkpoint, save_checkpoint
 from .dataset import Episode
 from .nn import Linear, ParamStore, Trunk, patchify, time_features
 from .seeding import derive_seed, rng_for
@@ -88,7 +88,9 @@ class IdmModel:
 
         conditioning holds the endpoint frames "frame_a" and "frame_b", or
         their "tokens" from `_frame_tokens` when the caller reuses them over
-        several Euler steps."""
+        several Euler steps. Without a graph the trunk computes its last
+        block for the chunk rows alone; with one it computes every row, so
+        the weight-gradient sums keep their order."""
         b = x_t.shape[0]
         cond = conditioning.get("tokens")
         if cond is None:
@@ -97,9 +99,9 @@ class IdmModel:
         tvec = self.time_proj(Tensor(tfeat)).reshape(b, 1, self.hyper.dim)
         act = self.chunk_in(Tensor(x_t)) + self.row_embed + tvec
         tokens = concat([cond, act], axis=1)
-        out = self.trunk(tokens)
-        chunk_out = out[:, -self.hyper.horizon:, :]
-        return self.head(chunk_out)
+        h = self.hyper.horizon
+        out = self.trunk(tokens, None if tokens.requires_grad else h)
+        return self.head(out[:, -h:, :])
 
     # -- persistence -----------------------------------------------------------
     def save(self, path) -> None:
@@ -111,9 +113,12 @@ class IdmModel:
     def load(cls, path) -> "IdmModel":
         arrays, meta = load_checkpoint(path)
         model = cls(hyper_from_meta(IdmHyper, meta))
-        model.norm_mean = arrays.pop("norm/mean")
-        model.norm_std = arrays.pop("norm/std")
-        model.store.load(arrays)
+        with arrays_must_match(path):
+            model.norm_mean = arrays.pop("norm/mean")
+            model.norm_std = arrays.pop("norm/std")
+            if model.norm_mean.shape != (ACTION_DIM,) or model.norm_std.shape != (ACTION_DIM,):
+                raise ValueError("shape mismatch for the action normalization")
+            model.store.load(arrays)
         return model
 
 
@@ -180,7 +185,7 @@ def _predict_batch(model: IdmModel, frames_a: np.ndarray, frames_b: np.ndarray,
 
     def velocity_fn(x_t, t, c):
         with no_grad():
-            return model.velocity(x_t, t, c).data
+            return model.velocity(x_t, t, c).readout()
 
     shape = (len(frames_a), model.hyper.horizon, ACTION_DIM)
     runs = [flow.euler_sample(velocity_fn, cond, shape, model.hyper.euler_steps,

@@ -44,6 +44,9 @@ class ParamStore:
         missing = set(self.params) - set(arrays)
         if missing:
             raise KeyError(f"checkpoint missing parameters: {sorted(missing)}")
+        unknown = set(arrays) - set(self.params)
+        if unknown:
+            raise KeyError(f"checkpoint has unknown parameters: {sorted(unknown)}")
         for name, t in self.params.items():
             if arrays[name].shape != t.data.shape:
                 raise ValueError(f"shape mismatch for {name!r}")
@@ -56,7 +59,11 @@ class Linear:
         self.b = store.zeros(f"{name}.b", (d_out,))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.w + self.b
+        y = x @ self.w
+        if y.requires_grad:
+            return y + self.b
+        y.data += self.b.data          # no graph: add in the product's own buffer
+        return y
 
 
 class LayerNorm:
@@ -102,21 +109,37 @@ class TransformerBlock:
         self.ln2 = LayerNorm(store, f"{name}.ln2", dim)
         self.mlp = Mlp(store, f"{name}.mlp", dim, 4 * dim)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        x = x + self.attn(self.ln1(x))
-        return x + self.mlp(self.ln2(x))
+    def __call__(self, x: Tensor, keep: int | None = None) -> Tensor:
+        """With `keep`, only the last `keep` rows are computed and returned;
+        their attention still reads keys and values from every row."""
+        h = self.ln1(x)
+        if keep is None:
+            x = x + self.attn(h)
+            return x + self.mlp(self.ln2(x))
+        # A one-row operand goes through numpy's matrix-vector product, which
+        # sums in another order than the matrix product of the full block, so
+        # at least two rows are computed to keep the same bytes.
+        rows = max(keep, 2)
+        x = x[..., -rows:, :] + self.attn(h[..., -rows:, :], h)
+        x = x + self.mlp(self.ln2(x))
+        return x if rows == keep else x[..., -keep:, :]
 
 
 class Trunk:
     def __init__(self, store: ParamStore, name: str, dim: int, n_heads: int, n_blocks: int):
+        if n_blocks < 1:
+            raise ValueError(f"a trunk needs at least one block, got {n_blocks}")
         self.blocks = [TransformerBlock(store, f"{name}.blk{i}", dim, n_heads)
                        for i in range(n_blocks)]
         self.ln_out = LayerNorm(store, f"{name}.ln_out", dim)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        for block in self.blocks:
+    def __call__(self, x: Tensor, keep: int | None = None) -> Tensor:
+        """With `keep`, returns only the last `keep` rows, equal to
+        `self(x)[..., -keep:, :]`: the last block skips the other rows."""
+        *inner, last = self.blocks
+        for block in inner:
             x = block(x)
-        return self.ln_out(x)
+        return self.ln_out(last(x, keep))
 
 
 def time_features(t: np.ndarray, dim: int) -> np.ndarray:

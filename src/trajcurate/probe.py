@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import sim
-from .checkpoint import hyper_from_meta, load_checkpoint, save_checkpoint
+from .checkpoint import arrays_must_match, hyper_from_meta, load_checkpoint, save_checkpoint
 from .dataset import Episode
 from .encoder import (
     CLIP_LEN,
@@ -174,7 +174,8 @@ class ProbeModel:
     def load(cls, path) -> "ProbeModel":
         arrays, meta = load_checkpoint(path)
         model = cls(hyper_from_meta(ProbeHyper, meta))
-        model.store.load(arrays)
+        with arrays_must_match(path):
+            model.store.load(arrays)
         return model
 
 
@@ -295,7 +296,7 @@ def train_probe(pair_set: PairSet, encoder: EncoderModel,
                 opt, config.lr))
         report.train_bce.append(float(np.mean(epoch_losses)))
         with no_grad():
-            val_logits = probe.forward(z1v, z2v).data
+            val_logits = probe.forward(z1v, z2v).readout()
         val_loss = bce_loss(alignment_prob(val_logits), yv)
         report.val_bce.append(val_loss)
         if val_loss < best_val - 1e-6:
@@ -309,7 +310,7 @@ def train_probe(pair_set: PairSet, encoder: EncoderModel,
                 break
     probe.store.load(best_arrays)
     with no_grad():
-        val_logits = probe.forward(z1v, z2v).data
+        val_logits = probe.forward(z1v, z2v).readout()
     preds = alignment_prob(val_logits) > 0.5
     report.val_accuracy = float(np.mean(preds == (yv > 0.5)))
     return probe, report
@@ -337,6 +338,6 @@ def score_sample(sample: NeuralSample, encoder: EncoderModel, probe: ProbeModel,
     z1 = encoder.encode_np(gen_clips)
     z2 = encoder.encode_np(rep_clips)
     with no_grad():
-        logits = probe.forward(z1, z2).data
+        logits = probe.forward(z1, z2).readout()
     probs = alignment_prob(logits)
     return float(probs.mean() if aggregation == "mean" else probs.min())

@@ -8,6 +8,14 @@ Everything trainable in this package is a patch-token transformer built from
 these ops, so nothing else is needed. All values are float64 and all kernels
 are deterministic (no parallel reduction reordering), which is what makes the
 1e-4 finite-difference tolerance and byte-identical checkpoints achievable.
+
+Finite-check policy: a Tensor built from outside data, and every op result
+while a graph is being built, is checked for NaN and infinity on creation and
+raises FloatingPointError. Op results under `no_grad` skip that scan; the code
+that reads such a result back into numpy calls `Tensor.readout()`, which
+checks it once. A non-finite value that a later op maps to a finite one (a
+score of minus infinity that softmax turns into a zero weight) is therefore
+reported during training but not during inference.
 """
 
 from __future__ import annotations
@@ -65,7 +73,7 @@ class Tensor:
                  _parents: tuple["Tensor", ...] = (),
                  _backward: Callable[[np.ndarray], None] | None = None):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if (_GRAD_ENABLED or not _parents) and not np.all(np.isfinite(arr)):
             raise FloatingPointError("non-finite values entering the graph")
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -88,6 +96,13 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
+
+    def readout(self) -> np.ndarray:
+        """The values of a `no_grad` result, checked finite once here since
+        its ops skipped the check."""
+        if not np.all(np.isfinite(self.data)):
+            raise FloatingPointError("non-finite values in an inference result")
+        return self.data
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -318,7 +333,12 @@ class Tensor:
     def gelu(self):
         # exact (erf) form; derivative Phi(x) + x*phi(x)
         x = self.data
-        phi_cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+        phi_cdf = x / math.sqrt(2.0)                 # 0.5 * (1 + erf(x / sqrt 2))
+        erf(phi_cdf, out=phi_cdf)
+        phi_cdf += 1.0
+        phi_cdf *= 0.5
+        if not (self.requires_grad and _GRAD_ENABLED):   # no backward needs phi_cdf
+            return Tensor(np.multiply(phi_cdf, x, out=phi_cdf), _parents=(self,))
         out = Tensor(x * phi_cdf, requires_grad=self.requires_grad, _parents=(self,))
 
         def backward(g):
@@ -338,9 +358,9 @@ class Tensor:
         return out
 
     def softmax(self, axis: int = -1):
-        z = self.data - self.data.max(axis=axis, keepdims=True)
-        e = np.exp(z)
-        y = e / e.sum(axis=axis, keepdims=True)
+        y = self.data - self.data.max(axis=axis, keepdims=True)
+        np.exp(y, out=y)
+        y /= y.sum(axis=axis, keepdims=True)
         out = Tensor(y, requires_grad=self.requires_grad, _parents=(self,))
 
         def backward(g):
@@ -362,11 +382,10 @@ class Tensor:
 
     def layer_norm(self, eps: float = 1e-5):
         """Normalize over the last axis (affine params applied by the caller)."""
-        mu = self.data.mean(axis=-1, keepdims=True)
-        xc = self.data - mu
-        var = (xc * xc).mean(axis=-1, keepdims=True)
+        y = self.data - self.data.mean(axis=-1, keepdims=True)
+        var = (y * y).mean(axis=-1, keepdims=True)
         inv = 1.0 / np.sqrt(var + eps)
-        y = xc * inv
+        y *= inv
         out = Tensor(y, requires_grad=self.requires_grad, _parents=(self,))
         n = self.shape[-1]
 
@@ -445,7 +464,7 @@ def finite_diff_grad(loss_fn: Callable[[dict[str, Tensor]], Tensor],
     def evaluate(arrays: dict[str, np.ndarray]) -> float:
         with no_grad():
             loss = loss_fn({k: Tensor(v) for k, v in arrays.items()})
-        return float(loss.data)
+        return float(loss.readout())
 
     base = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
     grads = {}

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from trajcurate import checkpoint
 from trajcurate.checkpoint import CheckpointError, hyper_from_meta
+from trajcurate.encoder import EncoderHyper, EncoderModel
 from trajcurate.idm import IdmHyper, IdmModel
+from trajcurate.probe import ProbeHyper, ProbeModel
 
 
 def write_small_checkpoint(path):
@@ -54,7 +56,7 @@ def test_hyper_from_meta_roundtrip_and_rejects_bad_fields():
     hyper = IdmHyper(dim=8, heads=2, blocks=1)
     meta = {k: float(v) for k, v in asdict(hyper).items()}
     assert hyper_from_meta(IdmHyper, meta) == hyper
-    for bad in (None, 2.5, float("nan"), float("inf")):
+    for bad in (None, 2.5, float("nan"), float("inf"), 0.0, -1.0):
         broken = dict(meta)
         if bad is None:
             del broken["sample_avg"]
@@ -71,4 +73,66 @@ def test_model_load_rejects_meta_missing_a_hyper_field(tmp_path):
     del meta["sample_avg"]
     checkpoint.save_checkpoint(path, arrays, meta=meta)
     with pytest.raises(CheckpointError, match="sample_avg"):
+        IdmModel.load(path)
+
+
+MODELS = [
+    (EncoderModel, EncoderHyper(dim=8, heads=2, blocks=1, resolution=32)),
+    (ProbeModel, ProbeHyper(dim=8, heads=2)),
+    (IdmModel, IdmHyper(dim=8, heads=2, blocks=1, horizon=4, resolution=32)),
+]
+
+
+def rewrite(path, edit_arrays=None, **meta_changes):
+    """Load a checkpoint's records, change them, and save it again well formed."""
+    arrays, meta = checkpoint.load_checkpoint(path)
+    if edit_arrays:
+        edit_arrays(arrays)
+    checkpoint.save_checkpoint(path, arrays, meta={**meta, **meta_changes})
+
+
+@pytest.mark.parametrize("cls, hyper", MODELS)
+@pytest.mark.parametrize("field, value", [("dim", 0), ("dim", -3), ("heads", 0), ("heads", 3)])
+def test_model_load_rejects_meta_out_of_range(tmp_path, cls, hyper, field, value):
+    """heads 3 does not divide dim 8."""
+    path = tmp_path / "model.tckp"
+    cls(hyper, seed=1).save(path)
+    rewrite(path, **{field: value})
+    with pytest.raises(CheckpointError, match=field):
+        cls.load(path)
+
+
+@pytest.mark.parametrize("cls, hyper", MODELS)
+@pytest.mark.parametrize("edit", ["drop", "reshape", "extra"])
+def test_model_load_rejects_arrays_that_disagree_with_meta(tmp_path, cls, hyper, edit):
+    path = tmp_path / "model.tckp"
+    cls(hyper, seed=1).save(path)
+    name = "pos_embed" if cls is not ProbeModel else "query"
+
+    def edit_arrays(arrays):
+        if edit == "drop":
+            del arrays[name]
+        elif edit == "reshape":
+            arrays[name] = arrays[name][:-1]
+        else:
+            arrays["trunk.blk9.ln1.g"] = np.ones(hyper.dim)
+
+    rewrite(path, edit_arrays)
+    with pytest.raises(CheckpointError):
+        cls.load(path)
+
+
+@pytest.mark.parametrize("edit", ["drop", "reshape"])
+def test_idm_load_rejects_bad_action_normalization(tmp_path, edit):
+    path = tmp_path / "idm.tckp"
+    IdmModel(IdmHyper(dim=8, heads=2, blocks=1), seed=1).save(path)
+
+    def edit_arrays(arrays):
+        if edit == "drop":
+            del arrays["norm/std"]
+        else:
+            arrays["norm/std"] = np.ones(1)
+
+    rewrite(path, edit_arrays)
+    with pytest.raises(CheckpointError):
         IdmModel.load(path)

@@ -1,8 +1,9 @@
 """Golden outputs of a tiny fixed-seed run of the whole training stack.
 
 Collects three demonstrations, saves them as a dataset, and trains a tiny
-encoder, probe and IDM on them. The sha256 of every file written and of every
-loss log is pinned, so a refactor that changes any output bit fails here.
+encoder, probe and IDM on them, plus an IDM at the default hyper. The sha256
+of every file written and of every loss log is pinned, so a refactor that
+changes any output bit fails here.
 
 Recorded on x86-64 (Intel Xeon, 2 cores), Python 3.11, numpy 2.4 with
 scipy-openblas 0.3.31. BLAS builds may reorder float sums, so on another
@@ -30,6 +31,10 @@ GOLDEN = {
         "648b43c289c87c70c496246f15b4008d28c3d16f61e9bf7206b8a1573376b8e9",
     "idm_losses":
         "8f1e6c5ad45fe6c50061ef0b9e69259e4fdb010899ff175cf9fb361d43bff9fa",
+    "idm_default.tckp":
+        "377b823674b1b93024763a5e62c95f25bd538313d71b9568effb761cbb583d02",
+    "idm_default_losses":
+        "c38734090c9085fc0cc5a96808d8be11431b2366efd56071f693b5739f766c76",
     "train_bce":
         "a9a8832a54622f49f6e837e22c6a1d132ca6562a53305571a140e5cb9c27ad0e",
     "val_bce":
@@ -67,11 +72,19 @@ def outputs(tmp_path_factory):
         demos, flow.TrainConfig(steps=4, batch_size=4, schedule=schedule, seed=5),
         idm.IdmHyper(dim=16, heads=2, blocks=1, euler_steps=2, sample_avg=2))
 
-    for name, m in (("encoder", enc), ("probe", prb), ("idm", model)):
+    # Default-size IDM: three blocks at dim 64, where the attention and MLP
+    # sums are long enough for any reordering of them to show in the bits.
+    default_idm, default_losses = idm.train_idm(
+        demos, flow.TrainConfig(steps=4, batch_size=4, schedule=schedule, seed=5),
+        idm.IdmHyper())
+
+    for name, m in (("encoder", enc), ("probe", prb), ("idm", model),
+                    ("idm_default", default_idm)):
         path = root / f"{name}.tckp"
         m.save(path)
         out[f"{name}.tckp"] = _sha(path.read_bytes())
     out["idm_losses"] = _floats_sha(losses)
+    out["idm_default_losses"] = _floats_sha(default_losses)
     out["train_bce"] = _floats_sha(report.train_bce)
     out["val_bce"] = _floats_sha(report.val_bce)
     return out

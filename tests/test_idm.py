@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from trajcurate import flow, idm, sim
 from trajcurate.seeding import derive_seed
-from trajcurate.tensor import no_grad
 
 TINY = idm.IdmHyper(dim=16, heads=2, blocks=1, patch=16, horizon=4,
                     resolution=32, euler_steps=2, sample_avg=2)
@@ -17,21 +16,36 @@ def tiny_model():
     return model
 
 
-def random_video(t, seed=0):
-    return np.random.default_rng(seed).integers(0, 256, size=(t, 32, 32, 3), dtype=np.uint8)
+def default_model():
+    """Default hyper with weights spread wider than the init, which gives
+    near-zero velocities, so every trunk sum, and any change in its order,
+    shows in the labels; the normalization leaves few labels clipped."""
+    model = idm.IdmModel(seed=4)
+    rng = np.random.default_rng(4)
+    for p in model.params.values():
+        p.data = rng.normal(0.0, 0.1, size=p.shape)
+    model.norm_mean = np.array([0.0, 0.0, 0.5, 0.0, 0.0, 0.5])
+    model.norm_std = np.full(idm.ACTION_DIM, 0.02)
+    return model
+
+
+def random_video(t, seed=0, resolution=32):
+    return np.random.default_rng(seed).integers(
+        0, 256, size=(t, resolution, resolution, 3), dtype=np.uint8)
 
 
 def reference_label_video(video, model, seed=idm.LABEL_SEED):
     """One Euler sample per averaged run, each step calling `velocity` on the
-    raw frames, so the frame tokens are recomputed at every step."""
+    raw frames, so the frame tokens are recomputed at every step. `velocity`
+    runs with the graph on, so the trunk computes every row of its last block
+    instead of the chunk rows alone."""
     h = model.hyper.horizon
     starts = list(range(0, len(video) - 1, h))
     ends = [min(s + h, len(video) - 1) for s in starts]
     cond = {"frame_a": video[starts], "frame_b": video[ends]}
 
     def velocity_fn(x_t, t, c):
-        with no_grad():
-            return model.velocity(x_t, t, c).data
+        return model.velocity(x_t, t, c).data
 
     base = derive_seed(seed, "label-windows")
     shape = (len(starts), h, idm.ACTION_DIM)
@@ -53,8 +67,8 @@ def test_label_video_gives_t_minus_one_finite_rows(t):
 
 
 def test_label_video_matches_per_step_reference():
-    model = tiny_model()
-    for t in (2, 5, 13):
-        video = random_video(t, seed=t)
-        labels = idm.label_video(video, model, seed=7)
-        assert labels.tobytes() == reference_label_video(video, model, seed=7).tobytes()
+    for model, lengths in ((tiny_model(), (2, 5, 13)), (default_model(), (2, 20))):
+        for t in lengths:
+            video = random_video(t, seed=t, resolution=model.hyper.resolution)
+            labels = idm.label_video(video, model, seed=7)
+            assert labels.tobytes() == reference_label_video(video, model, seed=7).tobytes()

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajcurate import idm, sim
+from trajcurate import flow, idm, sim
 from trajcurate.encoder import EncoderHyper, EncoderModel
+from trajcurate.optim import LrSchedule
 from trajcurate.probe import (
     LABELS,
     ClipPair,
@@ -110,3 +111,72 @@ def test_score_sample_is_a_probability(t, seed, gain, aggregation):
     probe.head.w.data *= gain        # push the logits toward saturation
     score = score_sample(sample, encoder, probe, aggregation)
     assert 0.0 <= score <= 1.0
+
+
+# -- non-finite values injected mid-graph ------------------------------------------
+
+NAN_ENCODER = EncoderHyper(dim=8, heads=2, blocks=2, resolution=32)
+# One Euler step: with more, the next step's input check would catch a NaN
+# velocity that the readout let through.
+NAN_IDM = idm.IdmHyper(dim=8, heads=2, blocks=2, horizon=4, resolution=32,
+                       euler_steps=1, sample_avg=2)
+MID_TRUNK = "trunk.blk1.mlp.fc1.w"
+
+
+def poison(model, name):
+    """Overwrite one entry of an existing parameter with NaN, so the value
+    enters only through the ops that read the parameter."""
+    model.params[name].data[0, 0] = np.nan
+    return model
+
+
+def random_frames(t, seed=0):
+    return np.random.default_rng(seed).integers(0, 256, size=(t, 32, 32, 3), dtype=np.uint8)
+
+
+def test_nan_mid_trunk_raises_in_idm_labeling():
+    model = poison(idm.IdmModel(NAN_IDM, seed=1), MID_TRUNK)
+    with pytest.raises(FloatingPointError):
+        idm.label_video(random_frames(9), model)
+
+
+def test_nan_mid_trunk_raises_in_idm_training():
+    model = poison(idm.IdmModel(NAN_IDM, seed=1), MID_TRUNK)
+    frames = random_frames(4, seed=2)
+
+    def batch_fn(step, rng):
+        chunks = rng.normal(size=(2, NAN_IDM.horizon, idm.ACTION_DIM))
+        return chunks, {"frame_a": frames[:2], "frame_b": frames[2:]}
+
+    config = flow.TrainConfig(steps=2, batch_size=2,
+                              schedule=LrSchedule(base_lr=1e-3, total_steps=2, stable_steps=1))
+    with pytest.raises(RuntimeError, match="non-finite"):
+        flow.train_fm(model, batch_fn, config)
+
+
+def test_nan_mid_trunk_raises_in_encoder_readout():
+    model = poison(EncoderModel(NAN_ENCODER, seed=1), MID_TRUNK)
+    with pytest.raises(FloatingPointError):
+        model.encode_np(random_frames(2 * NAN_ENCODER.clip_len).reshape(
+            2, NAN_ENCODER.clip_len, 32, 32, 3))
+
+
+@pytest.mark.parametrize("poisoned", ["encoder", "probe"])
+def test_nan_raises_in_probe_scoring(poisoned):
+    rng = np.random.default_rng(4)
+    t = 40
+    actions = rng.uniform(-sim.A_MAX, sim.A_MAX, size=(t - 1, 6))
+    actions[:, [2, 5]] = rng.uniform(0.0, 1.0, size=(t - 1, 2))
+    sample = NeuralSample(
+        sample_id=0, video=random_frames(t, seed=4),
+        instruction=sim.Instruction("pick_place", "circle", 1, "plate", "left"),
+        scene=sim.sample_scene(rng), gt_corruption=CorruptionSpec("none"),
+        exec_log={}, seed=4, idm_actions=actions)
+    encoder = EncoderModel(NAN_ENCODER, seed=1)
+    probe = ProbeModel(TINY_PROBE, seed=1)
+    if poisoned == "encoder":
+        poison(encoder, MID_TRUNK)
+    else:
+        poison(probe, "wo.w")
+    with pytest.raises(FloatingPointError):
+        score_sample(sample, encoder, probe)

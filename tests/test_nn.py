@@ -1,0 +1,112 @@
+"""Transformer blocks: row pruning, gradients, and the in-place kernels."""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.special import erf
+
+from trajcurate.idm import IdmHyper
+from trajcurate.nn import ParamStore, TransformerBlock, Trunk
+from trajcurate.tensor import Tensor, autodiff_grad, finite_diff_grad, no_grad
+
+
+def randomized(store, seed, scale):
+    """Replace the init values (tiny weights, unit gains) with random ones,
+    so every parameter moves the output."""
+    rng = np.random.default_rng(seed)
+    for t in store.params.values():
+        t.data = rng.normal(0.0, scale, size=t.shape)
+    return store
+
+
+def test_trunk_keep_equals_last_rows_of_full_trunk():
+    """Graph on or off, pruned or not, the rows equal those of the full
+    trunk built with a graph (the training path)."""
+    hyper = IdmHyper()
+    n_tokens = 2 * (hyper.resolution // hyper.patch) ** 2 + hyper.horizon
+    store = ParamStore(np.random.default_rng(0))
+    trunk = Trunk(store, "trunk", hyper.dim, hyper.heads, hyper.blocks)
+    randomized(store, seed=1, scale=0.2)
+    rng = np.random.default_rng(2)
+    for batch in (1, 3, 8, 12):
+        x = Tensor(rng.normal(size=(batch, n_tokens, hyper.dim)))
+        full = trunk(x).data
+        with no_grad():
+            assert trunk(x).data.tobytes() == full.tobytes()
+        for keep in (1, 5, hyper.horizon, n_tokens):
+            pruned = trunk(x, keep)
+            with no_grad():
+                pruned_no_graph = trunk(x, keep)
+            for out in (pruned, pruned_no_graph):
+                assert out.shape == (batch, keep, hyper.dim)
+                assert out.data.tobytes() == full[:, -keep:].tobytes()
+
+
+def test_trunk_needs_a_block():
+    with pytest.raises(ValueError):
+        Trunk(ParamStore(np.random.default_rng(0)), "trunk", 4, 2, 0)
+
+
+@pytest.mark.parametrize("keep", [None, 2])
+def test_transformer_block_grad_matches_finite_differences(keep):
+    store = ParamStore(np.random.default_rng(0))
+    block = TransformerBlock(store, "blk", 4, 2)
+    randomized(store, seed=3, scale=0.5)
+    rng = np.random.default_rng(4)
+    x0 = rng.normal(size=(2, 5, 4))
+    w = Tensor(rng.normal(size=(2, 5 if keep is None else keep, 4)))
+
+    x = Tensor(x0, requires_grad=True)
+    (block(x, keep) * w).sum().backward()
+    auto = {"x": x.grad, **{name: t.grad for name, t in store.params.items()}}
+
+    def loss(p):
+        for name, t in store.params.items():
+            t.data = p[name].data
+        return (block(p["x"], keep) * w).sum()
+
+    fd = finite_diff_grad(loss, {"x": x0, **store.arrays()}, eps=1e-6)
+    # The key bias adds the same amount to every score of a query, which
+    # softmax ignores: its true gradient is 0, so the check needs an
+    # absolute floor for the finite-difference noise.
+    for name, g in fd.items():
+        assert np.allclose(auto[name], g, rtol=1e-4, atol=1e-8), name
+
+
+# The kernels as written before they built their outputs in place; the
+# in-place versions must give the same bytes.
+
+def reference_gelu(x):
+    return x * (0.5 * (1.0 + erf(x / math.sqrt(2.0))))
+
+
+def reference_softmax(x, axis):
+    z = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def reference_layer_norm(x, eps=1e-5):
+    xc = x - x.mean(axis=-1, keepdims=True)
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    return xc * (1.0 / np.sqrt(var + eps))
+
+
+@pytest.mark.parametrize("grad", [False, True])
+@pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 40, 64), (4, 8, 256)])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0])
+def test_in_place_kernels_match_reference_bytes(grad, shape, scale):
+    x = np.random.default_rng(len(shape) * 100 + int(scale)).normal(0.0, scale, size=shape)
+    cases = [("gelu", (), reference_gelu(x)),
+             ("layer_norm", (), reference_layer_norm(x))]
+    cases += [("softmax", (a,), reference_softmax(x, a)) for a in range(-len(shape), 0)]
+    for op, args, expected in cases:
+        t = Tensor(x, requires_grad=grad)
+        if grad:
+            out = getattr(t, op)(*args)
+        else:
+            with no_grad():
+                out = getattr(t, op)(*args)
+        assert out.data.tobytes() == expected.tobytes(), (op, args)
+        assert x.tobytes() == t.data.tobytes(), f"{op} wrote into its input"

@@ -127,6 +127,24 @@ def test_nan_rejected():
         Tensor(np.array([1.0, np.nan]))
 
 
+def test_op_result_with_nan_raises_while_building_a_graph():
+    x = Tensor(np.array([-1.0, 2.0]), requires_grad=True)
+    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
+        x.sqrt()
+
+
+def test_no_grad_op_result_is_checked_at_readout():
+    x = Tensor(np.array([-1.0, 2.0]))
+    with no_grad():
+        with pytest.raises(FloatingPointError):
+            Tensor(np.array([np.nan]))           # outside data: checked at once
+        with np.errstate(invalid="ignore"):
+            out = x.sqrt()                       # an op: checked at readout
+        with pytest.raises(FloatingPointError):
+            out.readout()
+    assert (x * 2.0).readout().tolist() == [-2.0, 4.0]
+
+
 def test_no_grad_skips_graph():
     with no_grad():
         t = Tensor([1.0], requires_grad=True)
