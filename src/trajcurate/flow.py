@@ -8,7 +8,7 @@ back to t=0. Time is drawn uniformly per item; all randomness is seeded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol
 
 import numpy as np
@@ -16,21 +16,6 @@ import numpy as np
 from .optim import AdamW, LrSchedule, train_step, wsd_lr
 from .seeding import rng_for
 from .tensor import Tensor
-
-
-@dataclass
-class FlowBatch:
-    """One training batch: clean targets, matched noise, per-item time, conditioning."""
-    clean: np.ndarray
-    noise: np.ndarray
-    time: np.ndarray                       # (B,) in [0, 1]
-    conditioning: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.clean.shape != self.noise.shape:
-            raise ValueError("clean and noise shapes differ")
-        if np.any((self.time < 0) | (self.time > 1)):
-            raise ValueError("time outside [0, 1]")
 
 
 def _expand_time(t, ndim: int):
@@ -117,18 +102,14 @@ def train_fm(model: VelocityModel,
     for step_idx in range(config.steps):
         rng = rng_for(config.seed, "fm-step", step_idx)
         clean, conditioning = batch_fn(step_idx, rng)
-        batch = FlowBatch(
-            clean=np.asarray(clean, dtype=np.float64),
-            noise=rng.standard_normal(clean.shape),
-            time=rng.uniform(0.0, 1.0, size=len(clean)),
-            conditioning=conditioning,
-        )
-        x_t = interpolate(batch.clean, batch.noise, batch.time)
+        clean = np.asarray(clean, dtype=np.float64)
+        noise = rng.standard_normal(clean.shape)
+        t = rng.uniform(0.0, 1.0, size=len(clean))
+        x_t = interpolate(clean, noise, t)
         try:
             loss = train_step(
                 model.params,
-                lambda: fm_loss(model.velocity(x_t, batch.time, batch.conditioning),
-                                batch.clean, batch.noise),
+                lambda: fm_loss(model.velocity(x_t, t, conditioning), clean, noise),
                 opt, wsd_lr(step_idx, config.schedule))
         except FloatingPointError as exc:
             raise RuntimeError(

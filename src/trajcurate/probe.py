@@ -147,19 +147,14 @@ class ProbeModel:
     def params(self) -> dict[str, Tensor]:
         return self.store.params
 
-    def forward(self, z1: np.ndarray | Tensor, z2: np.ndarray | Tensor) -> Tensor:
+    def forward(self, z1: np.ndarray, z2: np.ndarray) -> Tensor:
         """(B, M, D) token sets for both clips -> (B,) alignment logits."""
-        z1 = z1 if isinstance(z1, Tensor) else Tensor(z1)
-        z2 = z2 if isinstance(z2, Tensor) else Tensor(z2)
-        if z1.shape[-1] != self.hyper.dim or z2.shape[-1] != self.hyper.dim:
-            raise ValueError("token dim differs from probe dim")
-        squeeze = z1.ndim == 2
-        if squeeze:
-            z1 = z1.reshape(1, *z1.shape)
-            z2 = z2.reshape(1, *z2.shape)
+        for z in (z1, z2):
+            if z.ndim != 3 or z.shape[-1] != self.hyper.dim:
+                raise ValueError(f"token sets must be (B, M, {self.hyper.dim}), got {z.shape}")
         b = z1.shape[0]
-        tokens = concat([z1 + self.segment[0:1, :], z2 + self.segment[1:2, :]],
-                        axis=1)
+        tokens = concat([Tensor(z1) + self.segment[0:1, :],
+                         Tensor(z2) + self.segment[1:2, :]], axis=1)
         query = concat([self.query.reshape(1, 1, -1)] * b, axis=0)
         attended = attention(self.wq(query), self.wk(tokens), self.wv(tokens),
                              self.hyper.heads)

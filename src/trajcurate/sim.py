@@ -189,17 +189,6 @@ class WorldState:
 
 # -- kinematics -------------------------------------------------------------------
 
-def forward_kinematics(joints, link_lengths=LINK_LENGTHS, base=(0.0, 0.0)):
-    """Planar 2-link FK: base + l1*(cos t1, sin t1) + l2*(cos(t1+t2), sin(t1+t2))."""
-    t1, t2 = float(joints[0]), float(joints[1])
-    l1, l2 = link_lengths
-    if l1 <= 0 or l2 <= 0:
-        raise ValueError("link lengths must be positive")
-    x = base[0] + l1 * math.cos(t1) + l2 * math.cos(t1 + t2)
-    y = base[1] + l1 * math.sin(t1) + l2 * math.sin(t1 + t2)
-    return np.array([x, y])
-
-
 def arm_points(state: WorldState, arm: int):
     """(base, elbow, effector) for one arm."""
     base = np.array(ARM_BASES[arm])
@@ -236,13 +225,12 @@ def initial_state(scene: SceneSpec) -> WorldState:
     return WorldState(joints, np.zeros(2), poses, (None, None))
 
 
-def step(state: WorldState, action, a_max: float = A_MAX,
-         r_grasp: float = R_GRASP) -> WorldState:
+def step(state: WorldState, action) -> WorldState:
     """Advance one tick. Inputs are clipped, never rejected."""
     act = np.asarray(action, dtype=float).reshape(6)
     if not np.all(np.isfinite(act)):
         raise ValueError("action must be finite")
-    deltas = np.clip(act[[0, 1, 3, 4]], -a_max, a_max).reshape(2, 2)
+    deltas = np.clip(act[[0, 1, 3, 4]], -A_MAX, A_MAX).reshape(2, 2)
     grip_cmd = np.clip(act[[2, 5]], 0.0, 1.0)
 
     joints = state.joints + deltas
@@ -266,7 +254,7 @@ def step(state: WorldState, action, a_max: float = A_MAX,
     for arm in range(2):
         if prev_grip[arm] < 0.5 <= grip_cmd[arm] and attachment[arm] is None:
             eff = effector_position(tmp, arm)
-            best, best_d = None, r_grasp
+            best, best_d = None, R_GRASP
             for i in range(len(poses)):
                 if i in attachment:
                     continue

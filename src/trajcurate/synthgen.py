@@ -205,15 +205,11 @@ def restyle_video(episode: Episode, palette_map: dict[int, int],
     )
 
 
-def random_palette_map(scene: SceneSpec, rng: np.random.Generator,
-                       fixed: Iterable[int] = ()) -> dict[int, int]:
-    """Injective recolor of the scene's palette entries, keeping `fixed` colors."""
-    fixed = set(fixed)
-    used = [c for c in dict.fromkeys(
-        [scene.table_color, scene.background_color, *(o.color for o in scene.objects)])
-        if c not in fixed]
-    pool = [c for c in sim.SCENE_COLOR_INDICES if c not in fixed]
-    targets = rng.choice(pool, size=len(used), replace=False)
+def random_palette_map(scene: SceneSpec, rng: np.random.Generator) -> dict[int, int]:
+    """Injective recolor of the scene's palette entries."""
+    used = list(dict.fromkeys(
+        [scene.table_color, scene.background_color, *(o.color for o in scene.objects)]))
+    targets = rng.choice(sim.SCENE_COLOR_INDICES, size=len(used), replace=False)
     return {src: int(dst) for src, dst in zip(used, targets)}
 
 

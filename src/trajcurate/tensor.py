@@ -9,13 +9,15 @@ these ops, so nothing else is needed. All values are float64 and all kernels
 are deterministic (no parallel reduction reordering), which is what makes the
 1e-4 finite-difference tolerance and byte-identical checkpoints achievable.
 
-Finite-check policy: a Tensor built from outside data, and every op result
-while a graph is being built, is checked for NaN and infinity on creation and
-raises FloatingPointError. Op results under `no_grad` skip that scan; the code
-that reads such a result back into numpy calls `Tensor.readout()`, which
-checks it once. A non-finite value that a later op maps to a finite one (a
-score of minus infinity that softmax turns into a zero weight) is therefore
-reported during training but not during inference.
+Graph and finite-check policy, decided in `_op` alone: an op result joins the
+graph (keeps its parents and backward function) only when grad is enabled and
+some parent needs a gradient. A Tensor built from outside data is always
+checked for NaN and infinity, an op result only while grad is enabled; both
+raise FloatingPointError. The code that reads a `no_grad` result back into
+numpy calls `Tensor.readout()`, which checks it once. A non-finite value that
+a later op maps to a finite one (a score of minus infinity that softmax turns
+into a zero weight) is therefore reported during training but not during
+inference.
 """
 
 from __future__ import annotations
@@ -69,17 +71,15 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False,
-                 _parents: tuple["Tensor", ...] = (),
-                 _backward: Callable[[np.ndarray], None] | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if (_GRAD_ENABLED or not _parents) and not np.all(np.isfinite(arr)):
+        if not np.all(np.isfinite(arr)):
             raise FloatingPointError("non-finite values entering the graph")
         self.data = arr
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad and _GRAD_ENABLED
-        self._parents = _parents if self.requires_grad else ()
-        self._backward = _backward if self.requires_grad else None
+        self.requires_grad = requires_grad
+        self._parents: tuple[Tensor, ...] = ()
+        self._backward: Callable[[np.ndarray], None] | None = None
 
     # -- basic introspection ------------------------------------------------
     @property
@@ -144,27 +144,20 @@ class Tensor:
 
     def __add__(self, other):
         other = self._coerce(other)
-        out = Tensor(self.data + other.data,
-                     requires_grad=self.requires_grad or other.requires_grad,
-                     _parents=(self, other))
 
         def backward(g):
             if self.requires_grad:
                 self._accumulate(_unbroadcast(g, self.shape))
             if other.requires_grad:
                 other._accumulate(_unbroadcast(g, other.shape))
-        out._backward = backward if out.requires_grad else None
-        return out
+        return _op(self.data + other.data, (self, other), backward)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Tensor(-self.data, requires_grad=self.requires_grad, _parents=(self,))
-
         def backward(g):
             self._accumulate(-g)
-        out._backward = backward if out.requires_grad else None
-        return out
+        return _op(-self.data, (self,), backward)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -174,17 +167,13 @@ class Tensor:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        out = Tensor(self.data * other.data,
-                     requires_grad=self.requires_grad or other.requires_grad,
-                     _parents=(self, other))
 
         def backward(g):
             if self.requires_grad:
                 self._accumulate(_unbroadcast(g * other.data, self.shape))
             if other.requires_grad:
                 other._accumulate(_unbroadcast(g * self.data, other.shape))
-        out._backward = backward if out.requires_grad else None
-        return out
+        return _op(self.data * other.data, (self, other), backward)
 
     __rmul__ = __mul__
 
@@ -198,21 +187,15 @@ class Tensor:
     def __pow__(self, exponent: float):
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
-        out = Tensor(self.data ** exponent, requires_grad=self.requires_grad,
-                     _parents=(self,))
 
         def backward(g):
             self._accumulate(g * exponent * self.data ** (exponent - 1))
-        out._backward = backward if out.requires_grad else None
-        return out
+        return _op(self.data ** exponent, (self,), backward)
 
     def __matmul__(self, other):
         other = self._coerce(other)
         if self.ndim < 2 or other.ndim < 2:
             raise ValueError("matmul requires operands with ndim >= 2")
-        out = Tensor(self.data @ other.data,
-                     requires_grad=self.requires_grad or other.requires_grad,
-                     _parents=(self, other))
 
         def backward(g):
             if self.requires_grad:
@@ -221,22 +204,14 @@ class Tensor:
             if other.requires_grad:
                 gb = np.swapaxes(self.data, -1, -2) @ g
                 other._accumulate(_unbroadcast(gb, other.shape))
-        out._backward = backward if out.requires_grad else None
-        return out
+        return _op(self.data @ other.data, (self, other), backward)
 
     # -- reductions ---------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False):
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims),
-                     requires_grad=self.requires_grad, _parents=(self,))
-
         def backward(g):
-            if axis is None:
-                self._accumulate(np.broadcast_to(g, self.shape).copy())
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                self._accumulate(np.broadcast_to(gg, self.shape).copy())
-        out._backward = backward if out.requires_grad else None
-        return out
+            gg = g if keepdims or axis is None else np.expand_dims(g, axis)
+            self._accumulate(np.broadcast_to(gg, self.shape).copy())
+        return _op(self.data.sum(axis=axis, keepdims=keepdims), (self,), backward)
 
     def mean(self, axis=None, keepdims: bool = False):
         if axis is None:
@@ -252,25 +227,19 @@ class Tensor:
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = Tensor(self.data.reshape(shape), requires_grad=self.requires_grad,
-                     _parents=(self,))
 
         def backward(g):
             self._accumulate(g.reshape(self.shape))
-        out._backward = backward if out.requires_grad else None
-        return out
+        return _op(self.data.reshape(shape), (self,), backward)
 
     def transpose(self, *axes):
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        out = Tensor(self.data.transpose(axes), requires_grad=self.requires_grad,
-                     _parents=(self,))
         inv = np.argsort(axes)
 
         def backward(g):
             self._accumulate(g.transpose(inv))
-        out._backward = backward if out.requires_grad else None
-        return out
+        return _op(self.data.transpose(axes), (self,), backward)
 
     def swapaxes(self, a: int, b: int):
         axes = list(range(self.ndim))
@@ -278,8 +247,6 @@ class Tensor:
         return self.transpose(tuple(axes))
 
     def __getitem__(self, key):
-        out = Tensor(self.data[key], requires_grad=self.requires_grad,
-                     _parents=(self,))
         parts = key if isinstance(key, tuple) else (key,)
         advanced = any(isinstance(p, (np.ndarray, list)) for p in parts)
 
@@ -290,27 +257,20 @@ class Tensor:
             else:
                 full[key] += g
             self._accumulate(full)
-        out._backward = backward if out.requires_grad else None
-        return out
+        return _op(self.data[key], (self,), backward)
 
     # -- elementwise nonlinearities -------------------------------------------
     def exp(self):
-        out = Tensor(np.exp(self.data), requires_grad=self.requires_grad,
-                     _parents=(self,))
+        y = np.exp(self.data)
 
         def backward(g):
-            self._accumulate(g * out.data)
-        out._backward = backward if out.requires_grad else None
-        return out
+            self._accumulate(g * y)
+        return _op(y, (self,), backward)
 
     def log(self):
-        out = Tensor(np.log(self.data), requires_grad=self.requires_grad,
-                     _parents=(self,))
-
         def backward(g):
             self._accumulate(g / self.data)
-        out._backward = backward if out.requires_grad else None
-        return out
+        return _op(np.log(self.data), (self,), backward)
 
     def sqrt(self):
         return self ** 0.5
@@ -323,12 +283,10 @@ class Tensor:
         y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
         ex = np.exp(x[~pos])
         y[~pos] = ex / (1.0 + ex)
-        out = Tensor(y, requires_grad=self.requires_grad, _parents=(self,))
 
         def backward(g):
-            self._accumulate(g * out.data * (1.0 - out.data))
-        out._backward = backward if out.requires_grad else None
-        return out
+            self._accumulate(g * y * (1.0 - y))
+        return _op(y, (self,), backward)
 
     def gelu(self):
         # exact (erf) form; derivative Phi(x) + x*phi(x)
@@ -338,47 +296,38 @@ class Tensor:
         phi_cdf += 1.0
         phi_cdf *= 0.5
         if not (self.requires_grad and _GRAD_ENABLED):   # no backward needs phi_cdf
-            return Tensor(np.multiply(phi_cdf, x, out=phi_cdf), _parents=(self,))
-        out = Tensor(x * phi_cdf, requires_grad=self.requires_grad, _parents=(self,))
+            return _op(np.multiply(phi_cdf, x, out=phi_cdf), (self,), None)
 
         def backward(g):
             pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
             self._accumulate(g * (phi_cdf + x * pdf))
-        out._backward = backward if out.requires_grad else None
-        return out
+        return _op(x * phi_cdf, (self,), backward)
 
     def clip(self, lo: float, hi: float):
         mask = (self.data >= lo) & (self.data <= hi)
-        out = Tensor(np.clip(self.data, lo, hi), requires_grad=self.requires_grad,
-                     _parents=(self,))
 
         def backward(g):
             self._accumulate(g * mask)
-        out._backward = backward if out.requires_grad else None
-        return out
+        return _op(np.clip(self.data, lo, hi), (self,), backward)
 
     def softmax(self, axis: int = -1):
         y = self.data - self.data.max(axis=axis, keepdims=True)
         np.exp(y, out=y)
         y /= y.sum(axis=axis, keepdims=True)
-        out = Tensor(y, requires_grad=self.requires_grad, _parents=(self,))
 
         def backward(g):
             dot = (g * y).sum(axis=axis, keepdims=True)
             self._accumulate(y * (g - dot))
-        out._backward = backward if out.requires_grad else None
-        return out
+        return _op(y, (self,), backward)
 
     def log_softmax(self, axis: int = -1):
         z = self.data - self.data.max(axis=axis, keepdims=True)
         lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
-        out = Tensor(z - lse, requires_grad=self.requires_grad, _parents=(self,))
         sm = np.exp(z - lse)
 
         def backward(g):
             self._accumulate(g - sm * g.sum(axis=axis, keepdims=True))
-        out._backward = backward if out.requires_grad else None
-        return out
+        return _op(z - lse, (self,), backward)
 
     def layer_norm(self, eps: float = 1e-5):
         """Normalize over the last axis (affine params applied by the caller)."""
@@ -386,21 +335,31 @@ class Tensor:
         var = (y * y).mean(axis=-1, keepdims=True)
         inv = 1.0 / np.sqrt(var + eps)
         y *= inv
-        out = Tensor(y, requires_grad=self.requires_grad, _parents=(self,))
         n = self.shape[-1]
 
         def backward(g):
             self._accumulate(inv * (g - g.mean(axis=-1, keepdims=True)
                                     - y * (g * y).sum(axis=-1, keepdims=True) / n))
-        out._backward = backward if out.requires_grad else None
-        return out
+        return _op(y, (self,), backward)
+
+
+def _op(data, parents: tuple[Tensor, ...],
+        backward: Callable[[np.ndarray], None] | None) -> Tensor:
+    """The result of an op on `parents`; the only place that applies the
+    graph and finite-check policy of the module docstring."""
+    out = Tensor.__new__(Tensor)          # skips the constructor's finite check
+    out.data = np.asarray(data, dtype=np.float64)
+    if _GRAD_ENABLED and not np.all(np.isfinite(out.data)):
+        raise FloatingPointError("non-finite values entering the graph")
+    out.grad = None
+    out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    out._parents, out._backward = (parents, backward) if out.requires_grad else ((), None)
+    return out
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [Tensor._coerce(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis),
-                 requires_grad=any(t.requires_grad for t in tensors),
-                 _parents=tuple(tensors))
+    data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -410,8 +369,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(a, b)
                 t._accumulate(g[tuple(sl)])
-    out._backward = backward if out.requires_grad else None
-    return out
+    return _op(data, tuple(tensors), backward)
 
 
 def attention(query: Tensor, keys: Tensor, values: Tensor, n_heads: int) -> Tensor:

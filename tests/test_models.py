@@ -1,4 +1,4 @@
-"""Persistence and invariants of the encoder, probe and IDM models."""
+"""Persistence, invariants and gradients of the encoder, probe and IDM models."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajcurate import flow, idm, sim
-from trajcurate.encoder import EncoderHyper, EncoderModel
+from trajcurate.encoder import EncoderHyper, EncoderModel, nt_xent_loss
+from trajcurate.nn import ParamStore
 from trajcurate.optim import LrSchedule
 from trajcurate.probe import (
     LABELS,
@@ -14,10 +15,12 @@ from trajcurate.probe import (
     PairSet,
     ProbeHyper,
     ProbeModel,
+    _bce_tensor,
     _split_by_episode,
     score_sample,
 )
 from trajcurate.synthgen import CorruptionSpec, NeuralSample
+from trajcurate.tensor import autodiff_grad, finite_diff_grad
 
 TINY_ENCODER = EncoderHyper(dim=8, heads=2, blocks=1, resolution=32)
 TINY_PROBE = ProbeHyper(dim=8, heads=2)
@@ -180,3 +183,71 @@ def test_nan_raises_in_probe_scoring(poisoned):
         poison(probe, "wo.w")
     with pytest.raises(FloatingPointError):
         score_sample(sample, encoder, probe)
+
+
+# -- whole-model gradients ----------------------------------------------------------
+
+
+def built_from(leaves, build):
+    """The model `build()` makes, with its parameters taken from `leaves`
+    instead of drawn, so the loss is a function of them."""
+    def take(store, name, shape, *scale):
+        assert leaves[name].shape == tuple(shape), name
+        store.params[name] = leaves[name]
+        return leaves[name]
+
+    with pytest.MonkeyPatch.context() as mp:
+        for init in ("gaussian", "zeros", "ones"):
+            mp.setattr(ParamStore, init, take)
+        return build()
+
+
+def check_directional_grads(build, loss_of, seed, n_dirs=3):
+    """autodiff_grad against central differences of the loss along random
+    directions through every parameter at once: a few loss evaluations per
+    direction instead of two per coordinate."""
+    rng = np.random.default_rng(seed)
+    # Random values, not the init (tiny weights, unit gains), so every
+    # parameter moves the loss.
+    base = {name: rng.normal(0.0, 0.3, size=arr.shape)
+            for name, arr in build().store.arrays().items()}
+    for _ in range(n_dirs):
+        direction = {name: rng.normal(size=arr.shape) for name, arr in base.items()}
+
+        def loss_along(p):
+            leaves = {name: p["s"] * direction[name] + base[name] for name in base}
+            return loss_of(built_from(leaves, build))
+
+        at = {"s": np.zeros(())}
+        auto = autodiff_grad(loss_along, at)["s"]
+        fd = finite_diff_grad(loss_along, at, eps=1e-6)["s"]
+        assert abs(auto - fd) <= 1e-5 * (abs(auto) + abs(fd)) + 1e-8, (auto, fd)
+
+
+def test_encoder_contrastive_loss_grad_matches_finite_differences():
+    clips = random_frames(4 * TINY_ENCODER.clip_len, seed=5).reshape(
+        4, TINY_ENCODER.clip_len, 32, 32, 3)
+    check_directional_grads(
+        lambda: EncoderModel(TINY_ENCODER, seed=0),
+        lambda model: nt_xent_loss(model.encode(clips).mean(axis=1), 0.1), seed=6)
+
+
+def test_probe_bce_grad_matches_finite_differences():
+    rng = np.random.default_rng(7)
+    z1, z2 = rng.normal(size=(2, 3, 5, TINY_PROBE.dim))
+    y = np.array([1.0, 0.0, 1.0])
+    check_directional_grads(lambda: ProbeModel(TINY_PROBE, seed=0),
+                            lambda model: _bce_tensor(model.forward(z1, z2), y), seed=8)
+
+
+def test_idm_flow_matching_grad_matches_finite_differences():
+    rng = np.random.default_rng(9)
+    frames = random_frames(4, seed=9)
+    conditioning = {"frame_a": frames[:2], "frame_b": frames[2:]}
+    clean, noise = rng.normal(size=(2, 2, TINY_IDM.horizon, idm.ACTION_DIM))
+    t = np.array([0.3, 0.8])
+    x_t = flow.interpolate(clean, noise, t)
+    check_directional_grads(
+        lambda: idm.IdmModel(TINY_IDM, seed=0),
+        lambda model: flow.fm_loss(model.velocity(x_t, t, conditioning), clean, noise),
+        seed=10)

@@ -26,25 +26,33 @@ def two_object_scene():
 # -- forward kinematics -----------------------------------------------------------
 
 
+def effector_from_base(joints, arm):
+    """The simulator's effector for `arm` at (shoulder, elbow) `joints`,
+    relative to that arm's base."""
+    both = np.array([joints, joints], dtype=float)
+    state = WorldState(both, np.zeros(2), np.zeros((0, 2)), (None, None))
+    return sim.effector_position(state, arm) - np.array(sim.ARM_BASES[arm])
+
+
 def test_fk_straight_arm():
-    assert np.allclose(sim.forward_kinematics((0.0, 0.0), (1.0, 1.0), (0.0, 0.0)),
-                       [2.0, 0.0])
+    l1, l2 = sim.LINK_LENGTHS
+    for arm in (0, 1):
+        assert np.allclose(effector_from_base((0.0, 0.0), arm), [l1 + l2, 0.0])
 
 
 def test_fk_rotated():
-    out = sim.forward_kinematics((math.pi / 2, 0.0), (1.0, 1.0), (0.0, 0.0))
-    assert np.allclose(out, [0.0, 2.0], atol=1e-12)
+    l1, l2 = sim.LINK_LENGTHS
+    for arm in (0, 1):
+        out = effector_from_base((math.pi / 2, 0.0), arm)
+        assert np.allclose(out, [0.0, l1 + l2], atol=1e-12)
 
 
 def test_fk_bent_elbow():
-    out = sim.forward_kinematics((math.pi / 4, math.pi / 4), (1.0, 1.0), (0.0, 0.0))
-    expected = np.array([math.sqrt(2) / 2, math.sqrt(2) / 2 + 1.0])
-    assert np.max(np.abs(out - expected)) < 1e-12
-
-
-def test_fk_rejects_nonpositive_lengths():
-    with pytest.raises(ValueError):
-        sim.forward_kinematics((0.0, 0.0), (0.0, 1.0))
+    l1, l2 = sim.LINK_LENGTHS
+    expected = np.array([l1 * math.sqrt(2) / 2, l1 * math.sqrt(2) / 2 + l2])
+    for arm in (0, 1):
+        out = effector_from_base((math.pi / 4, math.pi / 4), arm)
+        assert np.max(np.abs(out - expected)) < 1e-12
 
 
 def test_ik_fk_roundtrip():
@@ -57,8 +65,7 @@ def test_ik_fk_roundtrip():
             if not 0.05 < r < sum(sim.LINK_LENGTHS) - 0.02:
                 continue
             joints = sim.inverse_kinematics(target, arm)
-            eff = sim.forward_kinematics(joints, sim.LINK_LENGTHS, base)
-            assert np.allclose(eff, target, atol=1e-9)
+            assert np.allclose(effector_from_base(joints, arm) + base, target, atol=1e-9)
 
 
 # -- stepping and grasping --------------------------------------------------------

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,59 @@ def test_no_grad_skips_graph():
         t = Tensor([1.0], requires_grad=True)
         out = t * 2.0
     assert not out.requires_grad
+
+
+# Ops whose results are new arrays, not views of the input's data.
+FRESH_OPS = [
+    lambda x: x * 2.0,
+    lambda x: x + x,
+    lambda x: x.exp(),
+    lambda x: x.sigmoid(),
+    lambda x: x.gelu(),
+    lambda x: x.softmax(axis=-1),
+    lambda x: x.layer_norm(),
+    lambda x: x @ Tensor(np.ones((3, 2))),
+    lambda x: x.sum(axis=0),
+    lambda x: concat([x, x], axis=0),
+]
+
+
+def input_kept_alive(op, requires_grad):
+    """Whether `op`'s result keeps its input's data alive."""
+    arr = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+    x = Tensor(arr, requires_grad=requires_grad)
+    assert x.data is arr
+    alive = weakref.ref(arr)
+    out = op(x)
+    del x, arr
+    return out, alive() is not None
+
+
+@pytest.mark.parametrize("op", FRESH_OPS)
+def test_no_grad_result_keeps_no_reference_to_its_inputs(op):
+    with no_grad():
+        out, kept = input_kept_alive(op, requires_grad=True)
+    assert not kept and not out.requires_grad
+
+
+@pytest.mark.parametrize("op", FRESH_OPS)
+def test_result_of_constants_keeps_no_reference_to_its_inputs(op):
+    out, kept = input_kept_alive(op, requires_grad=False)
+    assert not kept and not out.requires_grad
+
+
+@pytest.mark.parametrize("op", FRESH_OPS)
+def test_graph_result_keeps_its_inputs(op):
+    out, kept = input_kept_alive(op, requires_grad=True)
+    assert kept and out.requires_grad
+
+
+@pytest.mark.parametrize("op", [lambda c: c.exp(), lambda c: c.log(),
+                                lambda c: c * 1e308, lambda c: c.sqrt()])
+def test_non_finite_result_of_constants_raises_while_grad_is_enabled(op):
+    c = Tensor(np.array([-1.0, 800.0]))
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+        op(c)
 
 
 # -- attention -----------------------------------------------------------------
