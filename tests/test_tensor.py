@@ -1,3 +1,4 @@
+import gc
 import weakref
 
 import numpy as np
@@ -155,18 +156,18 @@ def test_no_grad_skips_graph():
 
 
 # Ops whose results are new arrays, not views of the input's data.
-FRESH_OPS = [
-    lambda x: x * 2.0,
-    lambda x: x + x,
-    lambda x: x.exp(),
-    lambda x: x.sigmoid(),
-    lambda x: x.gelu(),
-    lambda x: x.softmax(axis=-1),
-    lambda x: x.layer_norm(),
-    lambda x: x @ Tensor(np.ones((3, 2))),
-    lambda x: x.sum(axis=0),
-    lambda x: concat([x, x], axis=0),
-]
+FRESH_OPS = [pytest.param(op, id=name) for name, op in {
+    "mul": lambda x: x * 2.0,
+    "add": lambda x: x + x,
+    "exp": lambda x: x.exp(),
+    "sigmoid": lambda x: x.sigmoid(),
+    "gelu": lambda x: x.gelu(),
+    "softmax": lambda x: x.softmax(axis=-1),
+    "layer_norm": lambda x: x.layer_norm(),
+    "matmul": lambda x: x @ Tensor(np.ones((3, 2))),
+    "sum": lambda x: x.sum(axis=0),
+    "concat": lambda x: concat([x, x], axis=0),
+}.items()]
 
 
 def input_kept_alive(op, requires_grad):
@@ -199,8 +200,27 @@ def test_graph_result_keeps_its_inputs(op):
     assert kept and out.requires_grad
 
 
-@pytest.mark.parametrize("op", [lambda c: c.exp(), lambda c: c.log(),
-                                lambda c: c * 1e308, lambda c: c.sqrt()])
+@pytest.mark.parametrize("op", FRESH_OPS)
+def test_spent_graph_is_freed_without_the_cycle_collector(op):
+    """No op result refers to itself through its backward function, so a
+    graph is freed as soon as its loss is dropped."""
+    x = Tensor(np.linspace(-1.0, 1.0, 6).reshape(2, 3), requires_grad=True)
+    gc.disable()
+    try:
+        mid = op(x)
+        alive = weakref.ref(mid.data)
+        loss = mid.sum()
+        del mid
+        loss.backward()
+        del loss
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("op", [
+    pytest.param(lambda c: c.exp(), id="exp"), pytest.param(lambda c: c.log(), id="log"),
+    pytest.param(lambda c: c * 1e308, id="mul"), pytest.param(lambda c: c.sqrt(), id="sqrt")])
 def test_non_finite_result_of_constants_raises_while_grad_is_enabled(op):
     c = Tensor(np.array([-1.0, 800.0]))
     with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
