@@ -9,8 +9,7 @@ embedding marking the side) and a linear head emits the alignment logit.
 
 Scoring a generated sample replays its pseudo-actions from the recorded
 initial state, cuts both videos into the same aligned clip windows, and
-aggregates per-window alignment probabilities (mean by default, min behind a
-flag).
+averages the per-window alignment probabilities.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from .checkpoint import arrays_must_match, hyper_from_meta, load_checkpoint, sav
 from .dataset import Episode
 from .encoder import (
     CLIP_LEN,
-    GRID_STEP,
-    STRIDE,
     EncoderModel,
     clip_starts,
     effective_video,
@@ -75,17 +72,14 @@ class PairSet:
     pairs: list[ClipPair]
     real_eff: list[np.ndarray]
     sim_eff: list[np.ndarray]
-    starts: list[list[int]]
-    clip_len: int = CLIP_LEN
 
     def clip(self, episode: int, side: str, start: int) -> np.ndarray:
         video = (self.real_eff if side == "real" else self.sim_eff)[episode]
-        return video[start:start + self.clip_len]
+        return video[start:start + CLIP_LEN]
 
 
 def build_pairs(episodes: list[Episode], k_shift: int = 1, k_cross: int = 1,
-                seed: int = 0, clip_len: int = CLIP_LEN, stride: int = STRIDE,
-                grid_step: int = GRID_STEP) -> PairSet:
+                seed: int = 0) -> PairSet:
     """Positives at every grid start; per positive, k_shift time-shifted and
     k_cross cross-episode negatives (uniform over the valid candidates)."""
     if len(episodes) < 2 and k_cross > 0:
@@ -95,9 +89,9 @@ def build_pairs(episodes: list[Episode], k_shift: int = 1, k_cross: int = 1,
         resolution = ep.frames.shape[1]
         replay = sim.replay(sim.canonical_scene(ep.scene),
                             sim.initial_state(ep.scene), ep.actions, resolution)
-        real_eff.append(effective_video(ep.frames, stride))
-        sim_eff.append(effective_video(replay, stride))
-        starts.append(clip_starts(len(real_eff[-1]), clip_len, grid_step))
+        real_eff.append(effective_video(ep.frames))
+        sim_eff.append(effective_video(replay))
+        starts.append(clip_starts(len(real_eff[-1])))
     if not any(starts):
         raise ValueError("no episode admits a clip window")
 
@@ -115,7 +109,7 @@ def build_pairs(episodes: list[Episode], k_shift: int = 1, k_cross: int = 1,
             for _ in range(k_cross if cross_candidates else 0):
                 j = int(rng.choice(cross_candidates))
                 pairs.append(ClipPair(i, t, j, t, "neg_cross"))
-    return PairSet(pairs, real_eff, sim_eff, starts, clip_len)
+    return PairSet(pairs, real_eff, sim_eff)
 
 
 # -- model -------------------------------------------------------------------------
@@ -174,12 +168,8 @@ class ProbeModel:
         return model
 
 
-def alignment_prob(logit):
-    logit = np.asarray(logit, dtype=np.float64)
-    if not np.all(np.isfinite(logit)):
-        raise ValueError("logit must be finite")
-    out = Tensor(logit).sigmoid().data
-    return out if out.ndim else float(out)
+def alignment_prob(logits: np.ndarray) -> np.ndarray:
+    return Tensor(logits).sigmoid().data
 
 
 def bce_loss(p, y) -> float:
@@ -314,25 +304,23 @@ def train_probe(pair_set: PairSet, encoder: EncoderModel,
 # -- sample scoring --------------------------------------------------------------------
 
 
-def score_sample(sample: NeuralSample, encoder: EncoderModel, probe: ProbeModel,
-                 aggregation: str = "mean") -> float:
-    """Mean (or min) alignment probability over aligned clip windows of the
-    generated video and the canonical replay of its pseudo-actions."""
+def score_sample(sample: NeuralSample, encoder: EncoderModel,
+                 probe: ProbeModel) -> float:
+    """Mean alignment probability over aligned clip windows of the generated
+    video and the canonical replay of its pseudo-actions."""
     if sample.idm_actions is None:
         raise ValueError("sample has no pseudo-actions to verify")
-    if aggregation not in ("mean", "min"):
-        raise ValueError(f"unknown aggregation {aggregation!r}")
     resolution = sample.video.shape[1]
-    replay = sim.replay(sim.canonical_scene(sample.scene), sample.initial_state(),
-                        sample.idm_actions, resolution)
+    replay = sim.replay(sim.canonical_scene(sample.scene),
+                        sim.initial_state(sample.scene), sample.idm_actions,
+                        resolution)
     gen_eff = pad_effective(effective_video(sample.video))
     rep_eff = pad_effective(effective_video(replay))
-    starts = clip_starts(len(gen_eff)) or [0]
+    starts = clip_starts(len(gen_eff))
     gen_clips = np.stack([gen_eff[s:s + CLIP_LEN] for s in starts])
     rep_clips = np.stack([rep_eff[s:s + CLIP_LEN] for s in starts])
     z1 = encoder.encode_np(gen_clips)
     z2 = encoder.encode_np(rep_clips)
     with no_grad():
         logits = probe.forward(z1, z2).readout()
-    probs = alignment_prob(logits)
-    return float(probs.mean() if aggregation == "mean" else probs.min())
+    return float(alignment_prob(logits).mean())

@@ -25,7 +25,7 @@ gripper commands are absolute in [0, 1] with >= 0.5 meaning closed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -473,10 +473,6 @@ class SceneDiversity:
     behaviors: tuple[str, ...] = BEHAVIORS
     placements: tuple[str, ...] = PLACEMENTS
     hands: tuple[str, ...] = HANDS
-
-    def to_dict(self) -> dict:
-        return {k: list(v) if isinstance(v, tuple) else v
-                for k, v in self.__dict__.items()}
 
 
 SPAWN_REGION = (0.12, 0.24, 0.88, 0.50)

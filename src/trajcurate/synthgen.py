@@ -4,9 +4,10 @@ Stands in for a learned video generator: scene-level appearance edits
 (structure-preserving), action-preserving video restyling via exact palette
 remaps, structured instruction proposal, and a "neural video" generator that
 renders expert rollouts and then injects seeded, magnitude-controlled
-physical corruptions. Each sample carries a hidden ground-truth corruption
-label (for evaluation only) plus an execution log of measured physical
-quantities (what a judge may legitimately look at).
+physical corruptions. Each sample carries two report-only fields: the hidden
+ground-truth corruption label and, for clean samples only, the expert actions
+that made the video. A judge sees the video, instruction, scene and the
+pseudo-action labels, never these two fields.
 """
 
 from __future__ import annotations
@@ -75,14 +76,13 @@ class CorruptionMixture:
 
 @dataclass
 class NeuralSample:
-    """Generated video + metadata. gt_corruption is hidden from curation:
-    decisions read the candidate view (see curation module), never this field."""
+    """Generated video + metadata. gt_corruption and hidden_actions are
+    report-only: no curation decision may read them."""
     sample_id: int
     video: np.ndarray                      # (T, H, W, 3) uint8
     instruction: Instruction
     scene: SceneSpec
     gt_corruption: CorruptionSpec
-    exec_log: dict
     seed: int
     idm_actions: np.ndarray | None = None  # (T-1, 6) once labeled
     alignment_score: float | None = None
@@ -91,9 +91,6 @@ class NeuralSample:
     def __post_init__(self):
         if self.idm_actions is not None and len(self.idm_actions) != len(self.video) - 1:
             raise ValueError("idm_actions must have T-1 rows")
-
-    def initial_state(self) -> WorldState:
-        return sim.initial_state(self.scene)
 
 
 # -- scene editing (structure-preserving) -----------------------------------------------
@@ -342,51 +339,21 @@ def _corrupt_states(states: list[WorldState], target: int,
     raise AssertionError(spec.kind)
 
 
-def measure_execution(scene: SceneSpec, states: list[WorldState],
-                      requested: Instruction, executed: Instruction) -> dict:
-    """Physical quantities measured on the final (possibly corrupted) state
-    sequence. This is the only information judges are allowed to consume."""
-    eff = np.array([[sim.effector_position(s, a) for a in range(2)] for s in states])
-    eff_step = np.linalg.norm(np.diff(eff, axis=0), axis=-1)
-    approach_jump = float(eff_step.max()) if len(eff_step) else 0.0
-    second_diff = 0.0
-    if len(eff) >= 3:
-        dd = eff[2:] - 2 * eff[1:-1] + eff[:-2]
-        second_diff = float(np.linalg.norm(dd, axis=-1).max())
-
-    grasp_gap = 0.0
-    free_drift = 0.0
-    for i, state in enumerate(states):
-        for arm, obj in enumerate(state.attachment):
-            if obj is not None:
-                gap = float(np.hypot(*(state.object_poses[obj]
-                                       - sim.effector_position(state, arm))))
-                grasp_gap = max(grasp_gap, gap)
-        if i > 0:
-            prev = states[i - 1]
-            for obj in range(len(state.object_poses)):
-                if obj in state.attachment or obj in prev.attachment:
-                    continue
-                moved = float(np.hypot(*(state.object_poses[obj]
-                                         - prev.object_poses[obj])))
-                free_drift = max(free_drift, moved)
-
-    def success(instr: Instruction) -> bool:
-        try:
-            return sim.task_success(scene, states, instr)
-        except ValueError:
-            return False
-
-    return {
-        "approach_jump": approach_jump,
-        "grasp_gap": grasp_gap,
-        "free_drift": free_drift,
-        "path_roughness": second_diff,
-        "follows_requested": success(requested),
-        "follows_executed": success(executed),
-        "executed_instruction": executed.to_dict(),
-        "final_frames": len(states),
-    }
+def _wrong_task(scene: SceneSpec, instruction: Instruction,
+                seed: int) -> Instruction:
+    """The instruction a wrong_task sample executes instead of the request,
+    or the request itself when 50 draws find none."""
+    # the executed task must differ in what the success oracle can see
+    # (behavior/target/placement), not merely in the acting hand
+    rng = np.random.default_rng(derive_seed(seed, "wrong-task"))
+    key = (instruction.behavior, instruction.target_shape,
+           instruction.target_color, instruction.placement)
+    for _ in range(50):
+        candidate = sample_instruction(scene, rng)
+        if (candidate.behavior, candidate.target_shape,
+                candidate.target_color, candidate.placement) != key:
+            return candidate
+    return instruction
 
 
 def generate_neural_video(scene: SceneSpec, instruction: Instruction,
@@ -396,19 +363,8 @@ def generate_neural_video(scene: SceneSpec, instruction: Instruction,
     """Expert rollout + seeded corruption, rendered in the scene's own look."""
     if not instruction_feasible(scene, instruction):
         raise InfeasibleInstruction(instruction.text())
-    executed = instruction
-    if corruption.kind == "wrong_task":
-        # the executed task must differ in what the success oracle can see
-        # (behavior/target/placement), not merely in the acting hand
-        rng = np.random.default_rng(derive_seed(seed, "wrong-task"))
-        key = (instruction.behavior, instruction.target_shape,
-               instruction.target_color, instruction.placement)
-        for _ in range(50):
-            candidate = sample_instruction(scene, rng)
-            if (candidate.behavior, candidate.target_shape,
-                    candidate.target_color, candidate.placement) != key:
-                executed = candidate
-                break
+    executed = (_wrong_task(scene, instruction, seed)
+                if corruption.kind == "wrong_task" else instruction)
 
     actions = None
     for attempt in range(10):
@@ -428,14 +384,12 @@ def generate_neural_video(scene: SceneSpec, instruction: Instruction,
         protected.append(sim.stack_base_index(scene, target, executed.placement))
     corrupted = _corrupt_states(states, target, corruption, tuple(protected))
     frames = np.stack([sim.render(scene, s, resolution) for s in corrupted])
-    log = measure_execution(scene, corrupted, instruction, executed)
     return NeuralSample(
         sample_id=sample_id,
         video=frames,
         instruction=instruction,
         scene=scene,
         gt_corruption=corruption,
-        exec_log=log,
         seed=seed,
         hidden_actions=actions if corruption.kind == "none" else None,
     )
@@ -461,14 +415,13 @@ def sample_candidates(scene: SceneSpec, instruction: Instruction, n: int,
 
 def sample_to_episode(sample: NeuralSample) -> Episode:
     """Neural samples persist as episodes: zero proprio, IDM actions, hidden
-    provenance (corruption label + execution log + scores)."""
+    provenance (corruption label + score)."""
     if sample.idm_actions is None:
         raise ValueError("label the sample before persisting it as an episode")
     t = len(sample.video)
     provenance = {
         "generator_seed": int(sample.seed),
         "corruption": sample.gt_corruption.to_dict(),
-        "exec_log": sample.exec_log,
         "alignment_score": sample.alignment_score,
     }
     return Episode(
@@ -491,7 +444,6 @@ def episode_to_sample(episode: Episode) -> NeuralSample:
         instruction=episode.instruction,
         scene=episode.scene,
         gt_corruption=CorruptionSpec.from_dict(prov["corruption"]),
-        exec_log=prov["exec_log"],
         seed=int(prov["generator_seed"]),
         idm_actions=episode.actions,
         alignment_score=prov.get("alignment_score"),

@@ -1,5 +1,7 @@
 """Persistence, invariants and gradients of the encoder, probe and IDM models."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,7 +89,7 @@ def test_split_by_episode_keeps_episodes_apart(n_ep, val_fraction, seed):
     pairs = [ClipPair(i, s, i, s, "positive") for i in range(n_ep) for s in starts]
     pairs += [ClipPair(i, s, (i + 1) % n_ep, s, "neg_cross")
               for i in range(n_ep) for s in starts]
-    pair_set = PairSet(pairs, [None] * n_ep, [None] * n_ep, [starts] * n_ep)
+    pair_set = PairSet(pairs, [None] * n_ep, [None] * n_ep)
     train, val = _split_by_episode(pair_set, val_fraction, np.random.default_rng(seed))
     train_eps = {e for p in train for e in (p.episode_a, p.episode_b)}
     val_eps = {e for p in val for e in (p.episode_a, p.episode_b)}
@@ -95,25 +97,44 @@ def test_split_by_episode_keeps_episodes_apart(n_ep, val_fraction, seed):
     assert val
 
 
-@settings(max_examples=10, deadline=None)
-@given(t=st.integers(2, 70), seed=st.integers(0, 1000),
-       gain=st.sampled_from([1.0, 1e3, 1e6]),
-       aggregation=st.sampled_from(["mean", "min"]))
-def test_score_sample_is_a_probability(t, seed, gain, aggregation):
+def random_sample(t, seed):
+    """A sample with a random video and random pseudo-actions."""
     rng = np.random.default_rng(seed)
     scene = sim.sample_scene(rng)
     actions = rng.uniform(-sim.A_MAX, sim.A_MAX, size=(t - 1, 6))
     actions[:, [2, 5]] = rng.uniform(0.0, 1.0, size=(t - 1, 2))
-    sample = NeuralSample(
+    return NeuralSample(
         sample_id=0, video=rng.integers(0, 256, size=(t, 32, 32, 3), dtype=np.uint8),
         instruction=sim.Instruction("pick_place", "circle", 1, "plate", "left"),
-        scene=scene, gt_corruption=CorruptionSpec("none"),
-        exec_log={}, seed=seed, idm_actions=actions)
+        scene=scene, gt_corruption=CorruptionSpec("none"), seed=seed,
+        idm_actions=actions)
+
+
+@settings(max_examples=10, deadline=None)
+@given(t=st.integers(2, 70), seed=st.integers(0, 1000),
+       gain=st.sampled_from([1.0, 1e3, 1e6]))
+def test_score_sample_is_a_probability(t, seed, gain):
+    sample = random_sample(t, seed)
     encoder = EncoderModel(TINY_ENCODER, seed=seed)
     probe = ProbeModel(TINY_PROBE, seed=seed)
     probe.head.w.data *= gain        # push the logits toward saturation
-    score = score_sample(sample, encoder, probe, aggregation)
+    score = score_sample(sample, encoder, probe)
     assert 0.0 <= score <= 1.0
+
+
+def test_score_sample_ignores_hidden_fields():
+    sample = random_sample(40, seed=3)
+    encoder = EncoderModel(TINY_ENCODER, seed=3)
+    probe = ProbeModel(TINY_PROBE, seed=3)
+    score = score_sample(sample, encoder, probe)
+    hidden = np.random.default_rng(4).uniform(-1.0, 1.0, size=(39, 6))
+    swapped = dataclasses.replace(
+        sample, gt_corruption=CorruptionSpec("wrong_task", 0.9, seed=99),
+        hidden_actions=hidden, seed=12345, sample_id=7)
+    assert score_sample(swapped, encoder, probe) == score
+    # the score does read the pseudo-actions, so the check above can fail
+    relabeled = dataclasses.replace(sample, idm_actions=sample.idm_actions[::-1].copy())
+    assert score_sample(relabeled, encoder, probe) != score
 
 
 # -- non-finite values injected mid-graph ------------------------------------------
@@ -174,7 +195,7 @@ def test_nan_raises_in_probe_scoring(poisoned):
         sample_id=0, video=random_frames(t, seed=4),
         instruction=sim.Instruction("pick_place", "circle", 1, "plate", "left"),
         scene=sim.sample_scene(rng), gt_corruption=CorruptionSpec("none"),
-        exec_log={}, seed=4, idm_actions=actions)
+        seed=4, idm_actions=actions)
     encoder = EncoderModel(NAN_ENCODER, seed=1)
     probe = ProbeModel(TINY_PROBE, seed=1)
     if poisoned == "encoder":

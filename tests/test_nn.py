@@ -8,7 +8,7 @@ from scipy.special import erf
 
 from trajcurate.idm import IdmHyper
 from trajcurate.nn import ParamStore, TransformerBlock, Trunk
-from trajcurate.tensor import Tensor, autodiff_grad, finite_diff_grad, no_grad
+from trajcurate.tensor import Tensor, finite_diff_grad, no_grad
 
 
 def randomized(store, seed, scale):

@@ -202,13 +202,20 @@ def test_propose_feasibility_and_errors():
 # -- corrupted generation ------------------------------------------------------------
 
 
+def succeeds(sample, instruction):
+    """Does the rollout of the sample's clean expert actions do the task?"""
+    states = sim.rollout(sample.scene, sim.initial_state(sample.scene),
+                         sample.hidden_actions)
+    return sim.task_success(sample.scene, states, instruction)
+
+
 def test_clean_generation_matches_expert_replay():
     scene = make_scene()
     spec = CorruptionSpec("none", 0.0, seed=1)
     sample = synthgen.generate_neural_video(scene, instr(), spec, seed=10)
     video = sim.replay(scene, sim.initial_state(scene), sample.hidden_actions)
     assert np.array_equal(sample.video, video)
-    assert sample.exec_log["follows_requested"]
+    assert succeeds(sample, instr())
 
 
 def test_generation_deterministic():
@@ -217,33 +224,70 @@ def test_generation_deterministic():
     a = synthgen.generate_neural_video(scene, instr(), spec, seed=11)
     b = synthgen.generate_neural_video(scene, instr(), spec, seed=11)
     assert np.array_equal(a.video, b.video)
-    assert a.exec_log == b.exec_log
+    # hidden_actions is set for clean samples only
+    clean = CorruptionSpec("none", 0.0, seed=2)
+    a = synthgen.generate_neural_video(scene, instr(), clean, seed=11)
+    b = synthgen.generate_neural_video(scene, instr(), clean, seed=11)
+    assert np.array_equal(a.video, b.video)
+    assert np.array_equal(a.hidden_actions, b.hidden_actions)
+    assert succeeds(a, instr())
+
+
+# The physical effects of a corruption are measured on the corrupted state
+# sequence of a scripted-expert rollout; a sample carries only its video.
+
+
+def expert_states(seed):
+    scene = make_scene()
+    actions = dataset.scripted_expert(scene, instr(), seed)
+    return sim.rollout(scene, sim.initial_state(scene), actions)
+
+
+def corrupt(states, kind, seed):
+    target = sim.find_target(make_scene(), instr())
+    return synthgen._corrupt_states(states, target, CorruptionSpec(kind, 1.0, seed))
+
+
+def effector_jump(states):
+    eff = np.array([[sim.effector_position(s, arm) for arm in range(2)] for s in states])
+    return float(np.linalg.norm(np.diff(eff, axis=0), axis=-1).max())
+
+
+def grasp_gap(states):
+    return max((float(np.hypot(*(s.object_poses[obj] - sim.effector_position(s, arm))))
+                for s in states for arm, obj in enumerate(s.attachment)
+                if obj is not None), default=0.0)
+
+
+def free_drift(states):
+    """Largest one-step move of an object held in neither frame."""
+    return max((float(np.hypot(*(cur.object_poses[obj] - prev.object_poses[obj])))
+                for prev, cur in zip(states, states[1:])
+                for obj in range(len(cur.object_poses))
+                if obj not in cur.attachment and obj not in prev.attachment),
+               default=0.0)
 
 
 def test_tele_grab_shortens_and_creates_jump():
-    scene = make_scene()
-    clean = synthgen.generate_neural_video(scene, instr(),
-                                           CorruptionSpec("none", 0.0, 3), seed=12)
-    cut = synthgen.generate_neural_video(scene, instr(),
-                                         CorruptionSpec("tele_grab", 1.0, 3), seed=12)
-    assert len(cut.video) < len(clean.video)
-    assert cut.exec_log["approach_jump"] > clean.exec_log["approach_jump"] * 2
+    clean = expert_states(12)
+    cut = corrupt(clean, "tele_grab", 3)
+    assert len(cut) < len(clean)
+    assert effector_jump(cut) > effector_jump(clean) * 2
 
 
 def test_offset_grasp_records_gap():
-    scene = make_scene()
-    sample = synthgen.generate_neural_video(
-        scene, instr(), CorruptionSpec("offset_grasp", 1.0, 4), seed=13)
-    assert sample.exec_log["grasp_gap"] > sim.R_GRASP
-    assert sample.exec_log["follows_requested"]
+    clean = expert_states(13)
+    shifted = corrupt(clean, "offset_grasp", 4)
+    assert grasp_gap(clean) <= sim.R_GRASP < grasp_gap(shifted)
+    assert sim.task_success(make_scene(), shifted, instr())
 
 
 def test_object_drift_moves_free_object():
-    scene = make_scene()
-    sample = synthgen.generate_neural_video(
-        scene, instr(), CorruptionSpec("object_drift", 1.0, 5), seed=14)
-    assert sample.exec_log["free_drift"] > 0.005
-    assert sample.exec_log["follows_requested"]
+    clean = expert_states(14)
+    drifted = corrupt(clean, "object_drift", 5)
+    assert free_drift(clean) == 0.0
+    assert free_drift(drifted) > 0.005
+    assert sim.task_success(make_scene(), drifted, instr())
 
 
 def test_temporal_jitter_zero_magnitude_is_clean():
@@ -257,16 +301,20 @@ def test_temporal_jitter_zero_magnitude_is_clean():
 
 def test_wrong_task_double_oracle():
     scene = make_scene()
-    sample = synthgen.generate_neural_video(
-        scene, instr(), CorruptionSpec("wrong_task", 0.5, 7), seed=16)
-    assert not sample.exec_log["follows_requested"]
-    assert sample.exec_log["follows_executed"]
-    executed = Instruction.from_dict(sample.exec_log["executed_instruction"])
-    assert (executed.behavior, executed.target_shape, executed.target_color,
-            executed.placement) != (sample.instruction.behavior,
-                                    sample.instruction.target_shape,
-                                    sample.instruction.target_color,
-                                    sample.instruction.placement)
+    requested = instr()
+    for seed in range(16, 20):
+        executed = synthgen._wrong_task(scene, requested, seed)
+        assert (executed.behavior, executed.target_shape, executed.target_color,
+                executed.placement) != (requested.behavior, requested.target_shape,
+                                        requested.target_color, requested.placement)
+        sample = synthgen.generate_neural_video(
+            scene, requested, CorruptionSpec("wrong_task", 0.5, 7), seed=seed)
+        clean = synthgen.generate_neural_video(
+            scene, executed, CorruptionSpec("none", 0.0, 7), seed=seed)
+        assert sample.instruction == requested
+        assert np.array_equal(sample.video, clean.video)
+        assert not succeeds(clean, requested)
+        assert succeeds(clean, executed)
 
 
 # -- candidate sampling ----------------------------------------------------------------
