@@ -27,7 +27,6 @@ from .sim import (
     A_MAX,
     D_MIN_PUSH,
     Instruction,
-    SceneDiversity,
     SceneSpec,
 )
 
@@ -36,6 +35,10 @@ VERSION = 1
 
 EMBODIMENT_REAL = "real"
 EMBODIMENT_NEURAL = "neural"
+DEMO_ATTEMPTS = 12      # scene and expert draws per demonstration
+# Shorter episodes are re-drawn, so every demonstration yields at least two
+# clip windows for pair construction downstream.
+MIN_DEMO_FRAMES = 81
 
 
 class DatasetError(RuntimeError):
@@ -102,17 +105,16 @@ def instruction_feasible(scene: SceneSpec, instruction: Instruction) -> bool:
     return True
 
 
-def sample_instruction(scene: SceneSpec, rng: np.random.Generator,
-                       diversity: SceneDiversity = SceneDiversity()) -> Instruction:
+def sample_instruction(scene: SceneSpec, rng: np.random.Generator) -> Instruction:
     for _ in range(100):
-        behavior = str(rng.choice(diversity.behaviors))
+        behavior = str(rng.choice(sim.BEHAVIORS))
         obj = scene.objects[int(rng.integers(len(scene.objects)))]
         instruction = Instruction(
             behavior=behavior,
             target_shape=obj.shape,
             target_color=obj.color,
-            placement=str(rng.choice(diversity.placements)),
-            hand=str(rng.choice(diversity.hands)),
+            placement=str(rng.choice(sim.PLACEMENTS)),
+            hand=str(rng.choice(sim.HANDS)),
         )
         if instruction_feasible(scene, instruction):
             return instruction
@@ -231,32 +233,27 @@ def scripted_expert(scene: SceneSpec, instruction: Instruction, seed: int,
     return np.stack(ctl.actions)
 
 
-def collect_demos(n: int, diversity: SceneDiversity = SceneDiversity(),
-                  seed: int = 0, resolution: int = sim.DEFAULT_RESOLUTION,
-                  max_attempts: int = 12, min_frames: int = 81) -> list[Episode]:
-    """n verified expert episodes over randomized scenes and instructions.
-
-    Episodes shorter than min_frames are re-drawn so every demonstration
-    yields at least two clip windows for pair construction downstream.
-    """
+def collect_demos(n: int, seed: int = 0) -> list[Episode]:
+    """n verified expert episodes of at least MIN_DEMO_FRAMES frames over
+    randomized scenes and instructions."""
     if n < 1:
         raise ValueError("need n >= 1")
     episodes = []
     for i in range(n):
         episode = None
-        for attempt in range(max_attempts):
+        for attempt in range(DEMO_ATTEMPTS):
             rng = rng_for(seed, "demo", i, attempt)
-            scene = sim.sample_scene(rng, diversity)
+            scene = sim.sample_scene(rng)
             try:
-                instruction = sample_instruction(scene, rng, diversity)
+                instruction = sample_instruction(scene, rng)
                 expert_seed = derive_seed(seed, "expert", i, attempt)
                 actions = scripted_expert(scene, instruction, expert_seed)
             except (InfeasibleInstruction, ExpertFailure):
                 continue
-            if len(actions) + 1 < min_frames:
+            if len(actions) + 1 < MIN_DEMO_FRAMES:
                 continue
             states = sim.rollout(scene, sim.initial_state(scene), actions)
-            frames = np.stack([sim.render(scene, s, resolution) for s in states])
+            frames = np.stack([sim.render(scene, s) for s in states])
             episode = Episode(
                 episode_id=i,
                 embodiment=EMBODIMENT_REAL,
@@ -269,7 +266,7 @@ def collect_demos(n: int, diversity: SceneDiversity = SceneDiversity(),
             )
             break
         if episode is None:
-            raise ExpertFailure(f"could not collect episode {i} in {max_attempts} attempts")
+            raise ExpertFailure(f"could not collect episode {i} in {DEMO_ATTEMPTS} attempts")
         episodes.append(episode)
     return episodes
 

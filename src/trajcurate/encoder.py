@@ -5,8 +5,7 @@ spans 61 original frames), tokenized as 2-frame tubelets over a 16px patch
 grid. Pretraining is restyle-contrastive: the two views of a clip are exact
 palette recolorings of the same pixels, so agreement can only come from
 geometry and motion, never from appearance. After pretraining the encoder is
-frozen and the attentive probe reads its tokens. A cosine-similarity baseline
-scorer over pooled tokens is left out until curation needs one.
+frozen and the attentive probe reads its tokens.
 
 Videos shorter than one clip are front-padded by repeating frame 0.
 """
@@ -28,28 +27,24 @@ from .tensor import Tensor, no_grad
 CLIP_LEN = 16        # frames per clip, after stride subsampling
 STRIDE = 4           # temporal stride (original frames per effective frame)
 GRID_STEP = 4        # clip-start grid step, in effective frames
+PRETRAIN_LR = 1e-3
+TEMPERATURE = 0.1    # of the contrastive softmax
+WEIGHT_DECAY = 0.01
 
 
 # -- clip geometry -------------------------------------------------------------------
 
 
-def effective_video(video: np.ndarray, stride: int = STRIDE) -> np.ndarray:
-    return video[::stride]
-
-
-def clip_starts(n_effective: int, clip_len: int = CLIP_LEN,
-                grid_step: int = GRID_STEP) -> list[int]:
-    if n_effective < clip_len:
-        return []
-    return list(range(0, n_effective - clip_len + 1, grid_step))
-
-
-def pad_effective(video_eff: np.ndarray, clip_len: int = CLIP_LEN) -> np.ndarray:
-    """Front-pad a too-short effective sequence by repeating frame 0."""
-    if len(video_eff) >= clip_len:
-        return video_eff
-    pad = np.repeat(video_eff[:1], clip_len - len(video_eff), axis=0)
-    return np.concatenate([pad, video_eff], axis=0)
+def clip_windows(video: np.ndarray) -> np.ndarray:
+    """(T, H, W, 3) video -> (n, CLIP_LEN, H, W, 3) read-only views: every
+    STRIDE-th frame, front-padded to one clip, cut at every GRID_STEP. It is
+    the one place clips are cut, so pretraining, pairs and scoring agree."""
+    eff = video[::STRIDE]
+    if len(eff) < CLIP_LEN:
+        pad = np.repeat(eff[:1], CLIP_LEN - len(eff), axis=0)
+        eff = np.concatenate([pad, eff], axis=0)
+    windows = np.lib.stride_tricks.sliding_window_view(eff, CLIP_LEN, axis=0)
+    return np.moveaxis(windows[::GRID_STEP], -1, 1)
 
 
 # -- model ----------------------------------------------------------------------------
@@ -130,9 +125,6 @@ class EncoderModel:
 class EncoderTrainConfig:
     steps: int = 120
     batch_clips: int = 64
-    lr: float = 1e-3
-    temperature: float = 0.1
-    weight_decay: float = 0.01
     seed: int = 0
 
 
@@ -159,15 +151,12 @@ def pretrain_encoder(episodes: list[Episode],
     """Restyle-contrastive pretraining; the returned encoder is frozen."""
     if len(episodes) < 2:
         raise ValueError("need at least two episodes for in-batch negatives")
-    inventory: list[tuple[int, int]] = []
-    for i, ep in enumerate(episodes):
-        eff_len = len(effective_video(ep.frames, hyper.stride))
-        starts = clip_starts(eff_len, hyper.clip_len, GRID_STEP) or [0]
-        inventory.extend((i, s) for s in starts)
+    windows = [clip_windows(ep.frames) for ep in episodes]
+    inventory = [(i, w) for i, ws in enumerate(windows) for w in range(len(ws))]
 
     model = EncoderModel(hyper, seed=config.seed)
-    opt = AdamW(weight_decay=config.weight_decay)
-    schedule = LrSchedule(base_lr=config.lr, total_steps=config.steps,
+    opt = AdamW(weight_decay=WEIGHT_DECAY)
+    schedule = LrSchedule(base_lr=PRETRAIN_LR, total_steps=config.steps,
                           stable_steps=max(1, int(config.steps * 0.8)))
 
     for step_idx in range(config.steps):
@@ -175,20 +164,17 @@ def pretrain_encoder(episodes: list[Episode],
         picks = rng.integers(0, len(inventory), size=config.batch_clips)
         views = []
         for p in picks:
-            ei, start = inventory[int(p)]
-            ep = episodes[ei]
-            eff = pad_effective(effective_video(ep.frames, hyper.stride),
-                                hyper.clip_len)
-            clip = eff[start:start + hyper.clip_len]
+            ei, w = inventory[int(p)]
+            scene = episodes[ei].scene
             for _ in range(2):
-                pal = random_palette_map(ep.scene, rng)
+                pal = random_palette_map(scene, rng)
                 gain = float(rng.uniform(0.5, 1.5))
-                recolored, _ = remap_frames(clip, ep.scene, pal, gain)
+                recolored, _ = remap_frames(windows[ei][w], scene, pal, gain)
                 views.append(recolored)
-        batch = np.stack(views)                       # (2B, clip_len, H, W, 3)
+        batch = np.stack(views)                       # (2B, CLIP_LEN, H, W, 3)
         train_step(model.params,
                    lambda: nt_xent_loss(model.encode(batch).mean(axis=1),
-                                        config.temperature),
+                                        TEMPERATURE),
                    opt, wsd_lr(step_idx, schedule))
 
     model.frozen = True

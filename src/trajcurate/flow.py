@@ -84,7 +84,6 @@ class TrainConfig:
     batch_size: int
     schedule: LrSchedule
     weight_decay: float = 0.01
-    betas: tuple[float, float] = (0.9, 0.999)
     seed: int = 0
 
 
@@ -97,7 +96,7 @@ def train_fm(model: VelocityModel,
     drawn here so all models share the same batch construction. Returns the
     per-step loss log. Zero steps leave the model untouched.
     """
-    opt = AdamW(betas=config.betas, weight_decay=config.weight_decay)
+    opt = AdamW(weight_decay=config.weight_decay)
     losses: list[float] = []
     for step_idx in range(config.steps):
         rng = rng_for(config.seed, "fm-step", step_idx)

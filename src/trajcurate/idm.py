@@ -202,11 +202,7 @@ def label_video(video: np.ndarray, model: IdmModel,
     if t_total < 2:
         raise ValueError("need at least two frames")
     h = model.hyper.horizon
-    starts = []
-    s = 0
-    while s < t_total - 1:
-        starts.append(s)
-        s += h
+    starts = range(0, t_total - 1, h)
     ends = [min(s + h, t_total - 1) for s in starts]
     frames_a = np.stack([video[s] for s in starts])
     frames_b = np.stack([video[e] for e in ends])

@@ -12,6 +12,9 @@ from .tensor import Tensor
 
 __all__ = ["AdamW", "train_step", "LrSchedule", "wsd_lr"]
 
+BETAS = (0.9, 0.999)    # moment decay rates
+EPS = 1e-8
+
 
 class AdamW:
     """AdamW with per-parameter moments and a shared step count.
@@ -20,10 +23,7 @@ class AdamW:
     `step` updates the parameter arrays in place.
     """
 
-    def __init__(self, betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0):
-        self.betas = betas
-        self.eps = eps
+    def __init__(self, weight_decay: float = 0.0):
         self.weight_decay = weight_decay
         self.first_moment: dict[str, np.ndarray] = {}
         self.second_moment: dict[str, np.ndarray] = {}
@@ -33,7 +33,7 @@ class AdamW:
              grads: dict[str, np.ndarray], lr: float) -> None:
         if lr <= 0:
             raise ValueError("lr must be positive")
-        b1, b2 = self.betas
+        b1, b2 = BETAS
         self.step_count += 1
         t = self.step_count
         for name, p in params.items():
@@ -48,7 +48,7 @@ class AdamW:
             self.second_moment[name] = v
             m_hat = m / (1.0 - b1 ** t)
             v_hat = v / (1.0 - b2 ** t)
-            p[...] = p - lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p)
+            p[...] = p - lr * (m_hat / (np.sqrt(v_hat) + EPS) + self.weight_decay * p)
 
 
 def train_step(params: dict[str, Tensor], loss_fn: Callable[[], Tensor],
@@ -70,19 +70,16 @@ def train_step(params: dict[str, Tensor], loss_fn: Callable[[], Tensor],
 
 @dataclass(frozen=True)
 class LrSchedule:
-    """Constant at base_lr for `stable_steps`, then linear decay to final_lr."""
+    """Constant at base_lr for `stable_steps`, then linear decay to zero."""
     base_lr: float
     total_steps: int
     stable_steps: int
-    final_lr: float = 0.0
 
     def __post_init__(self):
         if self.base_lr <= 0:
             raise ValueError("base_lr must be positive")
         if not (0 <= self.stable_steps <= self.total_steps):
             raise ValueError("need 0 <= stable_steps <= total_steps")
-        if self.final_lr < 0:
-            raise ValueError("final_lr must be >= 0")
 
 
 def wsd_lr(step: int, schedule: LrSchedule) -> float:
@@ -92,6 +89,7 @@ def wsd_lr(step: int, schedule: LrSchedule) -> float:
         return schedule.base_lr
     span = schedule.total_steps - schedule.stable_steps
     if span == 0:
-        return schedule.final_lr
+        return 0.0
     frac = (step - schedule.stable_steps) / span
-    return schedule.base_lr + frac * (schedule.final_lr - schedule.base_lr)
+    # base_lr * (1 - frac) rounds differently and would change every checkpoint
+    return schedule.base_lr - frac * schedule.base_lr

@@ -21,13 +21,7 @@ import numpy as np
 from . import sim
 from .checkpoint import arrays_must_match, hyper_from_meta, load_checkpoint, save_checkpoint
 from .dataset import Episode
-from .encoder import (
-    CLIP_LEN,
-    EncoderModel,
-    clip_starts,
-    effective_video,
-    pad_effective,
-)
+from .encoder import EncoderModel, clip_windows
 from .nn import Linear, ParamStore
 from .optim import AdamW, train_step
 from .seeding import rng_for
@@ -35,25 +29,36 @@ from .synthgen import NeuralSample
 from .tensor import Tensor, attention, concat, no_grad
 
 LABELS = ("positive", "neg_shift", "neg_cross")
+PATIENCE = 6            # epochs without a better validation BCE before stopping
+VAL_FRACTION = 0.2      # of the episodes, held out for validation
+WEIGHT_DECAY = 0.01
+
+
+def _replay_windows(scene: sim.SceneSpec, actions: np.ndarray,
+                    resolution: int) -> np.ndarray:
+    """`clip_windows` of `actions` replayed from the scene's initial state in
+    canonical appearance."""
+    return clip_windows(sim.replay(sim.canonical_scene(scene), sim.initial_state(scene),
+                                   actions, resolution))
 
 
 @dataclass(frozen=True)
 class ClipPair:
     episode_a: int
-    start_a: int
+    window_a: int
     episode_b: int
-    start_b: int
+    window_b: int
     label: str
 
     def __post_init__(self):
         if self.label not in LABELS:
             raise ValueError(f"unknown label {self.label!r}")
         if self.label == "positive":
-            ok = self.episode_a == self.episode_b and self.start_a == self.start_b
+            ok = self.episode_a == self.episode_b and self.window_a == self.window_b
         elif self.label == "neg_shift":
-            ok = self.episode_a == self.episode_b and self.start_a != self.start_b
+            ok = self.episode_a == self.episode_b and self.window_a != self.window_b
         else:
-            ok = self.episode_a != self.episode_b and self.start_a == self.start_b
+            ok = self.episode_a != self.episode_b and self.window_a == self.window_b
         if not ok:
             raise ValueError(f"{self.label} pair violates its construction invariant")
 
@@ -64,52 +69,40 @@ class ClipPair:
 
 @dataclass
 class PairSet:
-    """Pairs plus the effective-frame videos they index into.
+    """Pairs plus the `clip_windows` of each episode that they index into.
 
     Side a is the episode's own recording; side b is the canonical-appearance
     replay of its actions.
     """
     pairs: list[ClipPair]
-    real_eff: list[np.ndarray]
-    sim_eff: list[np.ndarray]
-
-    def clip(self, episode: int, side: str, start: int) -> np.ndarray:
-        video = (self.real_eff if side == "real" else self.sim_eff)[episode]
-        return video[start:start + CLIP_LEN]
+    real: list[np.ndarray]
+    sim: list[np.ndarray]
 
 
 def build_pairs(episodes: list[Episode], k_shift: int = 1, k_cross: int = 1,
                 seed: int = 0) -> PairSet:
-    """Positives at every grid start; per positive, k_shift time-shifted and
+    """Positives at every window; per positive, k_shift time-shifted and
     k_cross cross-episode negatives (uniform over the valid candidates)."""
     if len(episodes) < 2 and k_cross > 0:
         raise ValueError("cross-episode negatives need at least two episodes")
-    real_eff, sim_eff, starts = [], [], []
-    for ep in episodes:
-        resolution = ep.frames.shape[1]
-        replay = sim.replay(sim.canonical_scene(ep.scene),
-                            sim.initial_state(ep.scene), ep.actions, resolution)
-        real_eff.append(effective_video(ep.frames))
-        sim_eff.append(effective_video(replay))
-        starts.append(clip_starts(len(real_eff[-1])))
-    if not any(starts):
-        raise ValueError("no episode admits a clip window")
+    real = [clip_windows(ep.frames) for ep in episodes]
+    replay = [_replay_windows(ep.scene, ep.actions, ep.frames.shape[1]) for ep in episodes]
 
     rng = rng_for(seed, "pairs")
     pairs: list[ClipPair] = []
-    for i, ep_starts in enumerate(starts):
-        for t in ep_starts:
+    for i, windows in enumerate(real):
+        for t in range(len(windows)):
             pairs.append(ClipPair(i, t, i, t, "positive"))
-            shift_candidates = [s for s in ep_starts if s != t]
+            shift_candidates = [s for s in range(len(windows)) if s != t]
             for _ in range(k_shift if shift_candidates else 0):
                 t2 = int(rng.choice(shift_candidates))
                 pairs.append(ClipPair(i, t, i, t2, "neg_shift"))
             cross_candidates = [j for j in range(len(episodes))
-                                if j != i and t in starts[j]]
+                                if j != i and t < len(real[j])]
             for _ in range(k_cross if cross_candidates else 0):
                 j = int(rng.choice(cross_candidates))
                 pairs.append(ClipPair(i, t, j, t, "neg_cross"))
-    return PairSet(pairs, real_eff, sim_eff)
+    return PairSet(pairs, real, replay)
 
 
 # -- model -------------------------------------------------------------------------
@@ -192,9 +185,6 @@ class ProbeTrainConfig:
     lr: float = 1e-4
     batch_pairs: int = 32
     max_epochs: int = 50
-    patience: int = 6
-    val_fraction: float = 0.2
-    weight_decay: float = 0.01
     seed: int = 0
 
 
@@ -206,32 +196,31 @@ class ProbeTrainReport:
     val_accuracy: float = 0.0
 
 
-class _ClipCache:
-    """Each distinct (episode, side, start) clip is encoded exactly once."""
+def _encode_windows(pair_set: PairSet, encoder: EncoderModel
+                    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Tokens of every real and sim window, per episode. They are encoded once,
+    in (episode, real then sim, window) order and 64 at a time, because a
+    different batch split can change the encoder's bits."""
+    sides = [w for real, replay in zip(pair_set.real, pair_set.sim) for w in (real, replay)]
+    clips = np.concatenate(sides)
+    tokens = np.concatenate([encoder.encode_np(clips[i:i + 64])
+                             for i in range(0, len(clips), 64)])
+    per_side = np.split(tokens, np.cumsum([len(w) for w in sides])[:-1])
+    return per_side[0::2], per_side[1::2]
 
-    def __init__(self, pair_set: PairSet, encoder: EncoderModel):
-        keys = set()
-        for p in pair_set.pairs:
-            keys.add((p.episode_a, "real", p.start_a))
-            keys.add((p.episode_b, "sim", p.start_b))
-        keys = sorted(keys)
-        clips = np.stack([pair_set.clip(e, side, s) for e, side, s in keys])
-        encoded = []
-        for i in range(0, len(clips), 64):
-            encoded.append(encoder.encode_np(clips[i:i + 64]))
-        tokens = np.concatenate(encoded, axis=0)
-        self.tokens = {k: tokens[i] for i, k in enumerate(keys)}
 
-    def batch(self, pairs: list[ClipPair]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        z1 = np.stack([self.tokens[(p.episode_a, "real", p.start_a)] for p in pairs])
-        z2 = np.stack([self.tokens[(p.episode_b, "sim", p.start_b)] for p in pairs])
-        y = np.array([p.y for p in pairs])
-        return z1, z2, y
+def _batch(tokens: tuple[list[np.ndarray], list[np.ndarray]], pairs: list[ClipPair]
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    real, replay = tokens
+    z1 = np.stack([real[p.episode_a][p.window_a] for p in pairs])
+    z2 = np.stack([replay[p.episode_b][p.window_b] for p in pairs])
+    y = np.array([p.y for p in pairs])
+    return z1, z2, y
 
 
 def _split_by_episode(pair_set: PairSet, val_fraction: float,
                       rng: np.random.Generator) -> tuple[list[ClipPair], list[ClipPair]]:
-    n_ep = len(pair_set.real_eff)
+    n_ep = len(pair_set.real)
     order = rng.permutation(n_ep)
     n_val = max(1, int(round(val_fraction * n_ep)))
     val_eps = set(int(i) for i in order[:n_val])
@@ -256,26 +245,26 @@ def train_probe(pair_set: PairSet, encoder: EncoderModel,
         raise ValueError("pair set must contain both classes")
 
     rng = rng_for(config.seed, "probe-train")
-    cache = _ClipCache(pair_set, encoder)
-    train_pairs, val_pairs = _split_by_episode(pair_set, config.val_fraction, rng)
+    tokens = _encode_windows(pair_set, encoder)
+    train_pairs, val_pairs = _split_by_episode(pair_set, VAL_FRACTION, rng)
     if not train_pairs or not val_pairs:
         raise ValueError("episode split left an empty train or validation set")
 
     probe = ProbeModel(ProbeHyper(dim=encoder.hyper.dim), seed=config.seed)
-    opt = AdamW(weight_decay=config.weight_decay)
+    opt = AdamW(weight_decay=WEIGHT_DECAY)
     arrays = probe.store.arrays()
     report = ProbeTrainReport()
     best_val = np.inf
     best_arrays = {k: v.copy() for k, v in arrays.items()}
     since_best = 0
 
-    z1v, z2v, yv = cache.batch(val_pairs)
+    z1v, z2v, yv = _batch(tokens, val_pairs)
     for epoch in range(config.max_epochs):
         order = rng.permutation(len(train_pairs))
         epoch_losses = []
         for lo in range(0, len(order), config.batch_pairs):
             batch = [train_pairs[i] for i in order[lo:lo + config.batch_pairs]]
-            z1, z2, y = cache.batch(batch)
+            z1, z2, y = _batch(tokens, batch)
             epoch_losses.append(train_step(
                 probe.params, lambda: _bce_tensor(probe.forward(z1, z2), y),
                 opt, config.lr))
@@ -291,7 +280,7 @@ def train_probe(pair_set: PairSet, encoder: EncoderModel,
             since_best = 0
         else:
             since_best += 1
-            if since_best >= config.patience:
+            if since_best >= PATIENCE:
                 break
     probe.store.load(best_arrays)
     with no_grad():
@@ -310,17 +299,9 @@ def score_sample(sample: NeuralSample, encoder: EncoderModel,
     video and the canonical replay of its pseudo-actions."""
     if sample.idm_actions is None:
         raise ValueError("sample has no pseudo-actions to verify")
-    resolution = sample.video.shape[1]
-    replay = sim.replay(sim.canonical_scene(sample.scene),
-                        sim.initial_state(sample.scene), sample.idm_actions,
-                        resolution)
-    gen_eff = pad_effective(effective_video(sample.video))
-    rep_eff = pad_effective(effective_video(replay))
-    starts = clip_starts(len(gen_eff))
-    gen_clips = np.stack([gen_eff[s:s + CLIP_LEN] for s in starts])
-    rep_clips = np.stack([rep_eff[s:s + CLIP_LEN] for s in starts])
-    z1 = encoder.encode_np(gen_clips)
-    z2 = encoder.encode_np(rep_clips)
+    z1 = encoder.encode_np(clip_windows(sample.video))
+    z2 = encoder.encode_np(_replay_windows(sample.scene, sample.idm_actions,
+                                           sample.video.shape[1]))
     with no_grad():
         logits = probe.forward(z1, z2).readout()
     return float(alignment_prob(logits).mean())

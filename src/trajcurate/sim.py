@@ -76,6 +76,10 @@ SHAPES = ("circle", "square", "triangle")
 BEHAVIORS = ("pick_place", "push", "stack")
 PLACEMENTS = ("left", "right", "plate")
 HANDS = ("left", "right")
+TABLE_COLORS = (5, 8, 9, 10)
+BACKGROUND_COLORS = (6, 8, 9, 10, 12)
+LIGHTING_RANGE = (0.7, 1.3)
+OBJECT_COUNT = (2, 3)        # inclusive range of objects per scene
 
 EFFECTOR_RADIUS_CLOSED = 0.06
 EFFECTOR_RADIUS_OPEN = 0.012
@@ -462,29 +466,15 @@ def task_success(scene: SceneSpec, states: list[WorldState],
 
 # -- scene sampling ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SceneDiversity:
-    """Which appearance/task axes are randomized when sampling scenes."""
-    table_colors: tuple[int, ...] = (5, 8, 9, 10)
-    background_colors: tuple[int, ...] = (6, 8, 9, 10, 12)
-    lighting_range: tuple[float, float] = (0.7, 1.3)
-    object_count: tuple[int, int] = (2, 3)
-    shapes: tuple[str, ...] = SHAPES
-    behaviors: tuple[str, ...] = BEHAVIORS
-    placements: tuple[str, ...] = PLACEMENTS
-    hands: tuple[str, ...] = HANDS
-
-
 SPAWN_REGION = (0.12, 0.24, 0.88, 0.50)
 
 
-def sample_scene(rng: np.random.Generator,
-                 diversity: SceneDiversity = SceneDiversity()) -> SceneSpec:
-    table = int(rng.choice(diversity.table_colors))
-    bg_choices = [c for c in diversity.background_colors if c != table]
+def sample_scene(rng: np.random.Generator) -> SceneSpec:
+    table = int(rng.choice(TABLE_COLORS))
+    bg_choices = [c for c in BACKGROUND_COLORS if c != table]
     bg = int(rng.choice(bg_choices))
-    gain = float(rng.uniform(*diversity.lighting_range))
-    n_obj = int(rng.integers(diversity.object_count[0], diversity.object_count[1] + 1))
+    gain = float(rng.uniform(*LIGHTING_RANGE))
+    n_obj = int(rng.integers(OBJECT_COUNT[0], OBJECT_COUNT[1] + 1))
 
     color_pool = [c for c in SCENE_COLOR_INDICES if c not in (table, bg)]
     colors = rng.choice(color_pool, size=n_obj, replace=False)
@@ -498,7 +488,7 @@ def sample_scene(rng: np.random.Generator,
             if all(np.hypot(*(pos - p)) > 0.17 for p in positions):
                 break
         positions.append(pos)
-        shape = str(rng.choice(diversity.shapes))
+        shape = str(rng.choice(SHAPES))
         objects.append(SceneObject(shape, int(colors[i]), radius,
                                    (float(pos[0]), float(pos[1]))))
     return SceneSpec(table_color=table, background_id=f"bg{bg}",

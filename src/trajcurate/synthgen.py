@@ -358,7 +358,6 @@ def _wrong_task(scene: SceneSpec, instruction: Instruction,
 
 def generate_neural_video(scene: SceneSpec, instruction: Instruction,
                           corruption: CorruptionSpec, seed: int,
-                          resolution: int = sim.DEFAULT_RESOLUTION,
                           sample_id: int = 0) -> NeuralSample:
     """Expert rollout + seeded corruption, rendered in the scene's own look."""
     if not instruction_feasible(scene, instruction):
@@ -383,7 +382,7 @@ def generate_neural_video(scene: SceneSpec, instruction: Instruction,
     if executed.behavior == "stack":
         protected.append(sim.stack_base_index(scene, target, executed.placement))
     corrupted = _corrupt_states(states, target, corruption, tuple(protected))
-    frames = np.stack([sim.render(scene, s, resolution) for s in corrupted])
+    frames = np.stack([sim.render(scene, s) for s in corrupted])
     return NeuralSample(
         sample_id=sample_id,
         video=frames,
@@ -396,8 +395,7 @@ def generate_neural_video(scene: SceneSpec, instruction: Instruction,
 
 
 def sample_candidates(scene: SceneSpec, instruction: Instruction, n: int,
-                      mixture: CorruptionMixture, base_seed: int,
-                      resolution: int = sim.DEFAULT_RESOLUTION) -> list[NeuralSample]:
+                      mixture: CorruptionMixture, base_seed: int) -> list[NeuralSample]:
     """n candidates with consecutive seeds and independently drawn corruption."""
     if n < 1:
         raise ValueError("need n >= 1")
@@ -406,7 +404,7 @@ def sample_candidates(scene: SceneSpec, instruction: Instruction, n: int,
         seed = base_seed + i
         corruption = mixture.draw(rng_for(seed, "corruption"))
         out.append(generate_neural_video(scene, instruction, corruption, seed,
-                                         resolution=resolution, sample_id=i))
+                                         sample_id=i))
     return out
 
 
@@ -415,13 +413,15 @@ def sample_candidates(scene: SceneSpec, instruction: Instruction, n: int,
 
 def sample_to_episode(sample: NeuralSample) -> Episode:
     """Neural samples persist as episodes: zero proprio, IDM actions, hidden
-    provenance (corruption label + score)."""
+    provenance (corruption label, hidden actions, score)."""
     if sample.idm_actions is None:
         raise ValueError("label the sample before persisting it as an episode")
     t = len(sample.video)
     provenance = {
         "generator_seed": int(sample.seed),
         "corruption": sample.gt_corruption.to_dict(),
+        "hidden_actions": (None if sample.hidden_actions is None
+                           else sample.hidden_actions.tolist()),
         "alignment_score": sample.alignment_score,
     }
     return Episode(
@@ -438,6 +438,7 @@ def sample_to_episode(sample: NeuralSample) -> Episode:
 
 def episode_to_sample(episode: Episode) -> NeuralSample:
     prov = episode.provenance
+    hidden = prov.get("hidden_actions")
     return NeuralSample(
         sample_id=episode.episode_id,
         video=episode.frames,
@@ -447,4 +448,5 @@ def episode_to_sample(episode: Episode) -> NeuralSample:
         seed=int(prov["generator_seed"]),
         idm_actions=episode.actions,
         alignment_score=prov.get("alignment_score"),
+        hidden_actions=None if hidden is None else np.array(hidden, dtype=np.float64),
     )

@@ -94,12 +94,6 @@ def test_collect_demos_deterministic():
     assert all(dataset.episodes_equal(x, y) for x, y in zip(a, b))
 
 
-def test_collect_demos_respects_behavior_restriction():
-    div = sim.SceneDiversity(behaviors=("push",))
-    eps = dataset.collect_demos(4, diversity=div, seed=3)
-    assert all(ep.instruction.behavior == "push" for ep in eps)
-
-
 # -- episode invariants ---------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in it or listed in __all__."""
+"""Every name a package module imports is used in it or listed in __all__, and
+every package function reads each of its parameters."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,57 @@ def test_no_unused_imports(path):
     used = used_names(tree)
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+# (module, function, parameter) kept though never read: `sim.rollout`'s scene,
+# which callers pass positionally.
+UNREAD_PARAMETERS_ALLOWED = {("sim.py", "rollout", "scene")}
+
+
+def _is_stub(func: ast.FunctionDef) -> bool:
+    body = func.body
+    return (len(body) == 1 and isinstance(body[0], ast.Expr)
+            and isinstance(body[0].value, ast.Constant) and body[0].value.value is Ellipsis)
+
+
+def unread_parameters(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """(function, parameter, line) of each parameter a function never reads,
+    `self` and `cls` aside. Skipped: `...`-bodied stubs such as Protocol
+    methods, and functions nested in another function, whose signature their
+    caller fixes."""
+    found = []
+
+    def visit(node, nested: bool):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, nested)
+                continue
+            if not nested and not _is_stub(child):
+                a = child.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [
+                    p for p in (a.vararg, a.kwarg) if p is not None]
+                reads = {n.id for n in ast.walk(child)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                found.extend((child.name, p.arg, child.lineno) for p in params
+                             if p.arg not in reads and p.arg not in ("self", "cls"))
+            visit(child, True)
+
+    visit(tree, False)
+    return found
+
+
+def test_checker_flags_an_unread_parameter():
+    tree = ast.parse("def f(a, b, *c, d=1, **e):\n    return a + sum(c)\n"
+                     "class P:\n    def m(self, x): ...\n"
+                     "    def n(self, y):\n        def inner(z):\n            return 0\n"
+                     "        return inner\n")
+    assert unread_parameters(tree) == [("f", "b", 1), ("f", "d", 1), ("f", "e", 1),
+                                       ("n", "y", 5)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unread = [(func, param, line) for func, param, line in unread_parameters(tree)
+              if (path.name, func, param) not in UNREAD_PARAMETERS_ALLOWED]
+    assert not unread, f"{path.name} has parameters its functions never read: {unread}"

@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajcurate import flow, idm, sim
-from trajcurate.encoder import EncoderHyper, EncoderModel, nt_xent_loss
+from trajcurate.encoder import (
+    CLIP_LEN,
+    GRID_STEP,
+    STRIDE,
+    EncoderHyper,
+    EncoderModel,
+    clip_windows,
+    nt_xent_loss,
+)
 from trajcurate.nn import ParamStore
 from trajcurate.optim import LrSchedule
 from trajcurate.probe import (
@@ -58,6 +66,22 @@ def test_idm_save_load_save_is_byte_identical(tmp_path):
     loaded = resave_is_identical(model, idm.IdmModel, tmp_path)
     assert np.array_equal(loaded.norm_mean, model.norm_mean)
     assert np.array_equal(loaded.norm_std, model.norm_std)
+
+
+def test_clip_windows_match_stride_pad_and_grid():
+    """Window w, position k shows effective frame w*GRID_STEP + k - pad, where
+    pad front-fills a short video to one clip with effective frame 0, and
+    effective frame e is original frame e*STRIDE."""
+    for t in range(1, 301):
+        video = np.broadcast_to(np.arange(t).reshape(t, 1, 1, 1), (t, 2, 2, 3))
+        n_eff = -(-t // STRIDE)
+        pad = max(0, CLIP_LEN - n_eff)
+        n_windows = (n_eff + pad - CLIP_LEN) // GRID_STEP + 1
+        expected = np.array([[video[max(0, w * GRID_STEP + k - pad) * STRIDE]
+                              for k in range(CLIP_LEN)] for w in range(n_windows)])
+        windows = clip_windows(video)
+        assert windows.shape == (n_windows, CLIP_LEN, 2, 2, 3), t
+        assert np.array_equal(windows, expected), t
 
 
 @pytest.mark.parametrize("label, a, b", [

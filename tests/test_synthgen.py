@@ -358,10 +358,12 @@ def test_mixture_frequencies():
 # -- persistence ------------------------------------------------------------------------
 
 
-def test_sample_episode_roundtrip(tmp_path):
+@pytest.mark.parametrize("kind", ["none", "offset_grasp"], ids=["clean", "corrupted"])
+def test_sample_episode_roundtrip(tmp_path, kind):
     scene = make_scene()
     sample = synthgen.generate_neural_video(
-        scene, instr(), CorruptionSpec("offset_grasp", 0.6, 8), seed=50)
+        scene, instr(), CorruptionSpec(kind, 0.6 if kind != "none" else 0.0, 8), seed=50)
+    assert (sample.hidden_actions is None) == (kind != "none")
     sample.idm_actions = np.zeros((len(sample.video) - 1, 6))
     sample.alignment_score = 0.25
     ep = synthgen.sample_to_episode(sample)
@@ -372,6 +374,12 @@ def test_sample_episode_roundtrip(tmp_path):
     assert back.gt_corruption == sample.gt_corruption
     assert back.alignment_score == 0.25
     assert np.array_equal(back.video, sample.video)
+    if sample.hidden_actions is None:
+        assert back.hidden_actions is None
+    else:
+        assert back.hidden_actions.dtype == np.float64
+        assert back.hidden_actions.shape == sample.hidden_actions.shape
+        assert back.hidden_actions.tobytes() == sample.hidden_actions.tobytes()
 
 
 def test_unlabeled_sample_rejected():
