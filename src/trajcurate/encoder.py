@@ -61,6 +61,15 @@ class EncoderHyper:
     stride: int = STRIDE
     resolution: int = 64
 
+    def __post_init__(self):
+        # clip_windows cuts every clip with CLIP_LEN and STRIDE; these two
+        # fields only record that geometry in checkpoint meta, so any other
+        # value would describe clips the model never sees.
+        if (self.clip_len, self.stride) != (CLIP_LEN, STRIDE):
+            raise ValueError(
+                f"clip_len {self.clip_len} and stride {self.stride} must be "
+                f"the clip geometry {CLIP_LEN} and {STRIDE}")
+
     @property
     def tokens_per_clip(self) -> int:
         return (self.clip_len // self.tubelet) * (self.resolution // self.patch) ** 2

@@ -14,7 +14,13 @@ outside the box fails that test anyway, and the extra pixel of margin absorbs
 any rounding in mapping the box to indices. So a frame holds the same bytes
 as when every shape is tested over the whole frame, at a fraction of the
 cost. The table and zones are axis-aligned, so they are painted as row and
-column slices computed once per resolution.
+column slices computed once per resolution. Background, table and zones
+depend only on (background colour, lighting gain, table colour, resolution):
+they are painted once into a read-only backdrop, kept for the last such key
+(one miss per video, since its frames share it), and each frame starts from
+a copy of it. Per-frame geometry (poses, joint angles, arm points) is read
+into Python floats, whose arithmetic is the same IEEE float64 arithmetic as
+numpy scalars' at a fraction of the interpreter cost.
 
 Conventions: world x grows right, world y grows up; frames are row-major RGB
 with the origin at the top-left. Actions are 6-vectors
@@ -194,17 +200,18 @@ class WorldState:
 # -- kinematics -------------------------------------------------------------------
 
 def arm_points(state: WorldState, arm: int):
-    """(base, elbow, effector) for one arm."""
-    base = np.array(ARM_BASES[arm])
-    t1, t2 = state.joints[arm]
+    """(base, elbow, effector) for one arm, each an (x, y) tuple of Python
+    floats: the same IEEE arithmetic as float64 arrays, at scalar cost."""
+    bx, by = ARM_BASES[arm]
+    t1, t2 = state.joints[arm].tolist()
     l1, l2 = LINK_LENGTHS
-    elbow = base + l1 * np.array([math.cos(t1), math.sin(t1)])
-    eff = elbow + l2 * np.array([math.cos(t1 + t2), math.sin(t1 + t2)])
-    return base, elbow, eff
+    ex, ey = bx + l1 * math.cos(t1), by + l1 * math.sin(t1)
+    return ((bx, by), (ex, ey),
+            (ex + l2 * math.cos(t1 + t2), ey + l2 * math.sin(t1 + t2)))
 
 
 def effector_position(state: WorldState, arm: int) -> np.ndarray:
-    return arm_points(state, arm)[2]
+    return np.array(arm_points(state, arm)[2])
 
 
 def inverse_kinematics(target, arm: int) -> tuple[float, float]:
@@ -282,6 +289,10 @@ def rollout(scene: SceneSpec, init: WorldState, actions) -> list[WorldState]:
 # -- rendering --------------------------------------------------------------------
 
 _GRIDS: dict[int, tuple] = {}
+# The last scene backdrop painted, keyed by everything it depends on. One
+# entry: consecutive frames of a video share the key, and lighting gains are
+# continuous, so a cache of every key seen would grow without bound.
+_BACKDROP: dict[tuple, np.ndarray] = {}
 
 
 def _rect_window(xs, ys, rect) -> tuple[slice, slice]:
@@ -329,6 +340,24 @@ def background_value(color_index: int, gain: float) -> np.ndarray:
                    0, 255).astype(np.uint8)
 
 
+def _backdrop(scene: SceneSpec, resolution: int) -> np.ndarray:
+    """Read-only frame of background, table and zones for the scene."""
+    key = (scene.background_color, scene.lighting_gain, scene.table_color,
+           resolution)
+    img = _BACKDROP.get(key)
+    if img is None:
+        _, _, table, zones = _grid(resolution)
+        img = np.empty((resolution, resolution, 3), dtype=np.uint8)
+        img[:] = background_value(scene.background_color, scene.lighting_gain)
+        img[table] = PALETTE[scene.table_color]
+        for color, window in zones:
+            img[window] = PALETTE[color]
+        img.flags.writeable = False
+        _BACKDROP.clear()
+        _BACKDROP[key] = img
+    return img
+
+
 # Half-width of each shape's bounding box in units of its radius: the
 # triangle's base spans |dx| <= 0.6 * 1.8r, the circle and square reach r.
 _SHAPE_HALF_WIDTH = 1.08
@@ -347,14 +376,28 @@ def _object_mask(gx, gy, obj: SceneObject, position):
 
 
 def _segment_mask(gx, gy, p0, p1, width):
-    vx, vy = p1[0] - p0[0], p1[1] - p0[1]
+    """Pixels within `width` of the segment p0-p1, whose ends are float
+    tuples; the in-place steps compute the same values, in the same order, as
+    dx = gx - (x0 + t * vx) and dy = gy - (y0 + t * vy) squared and summed."""
+    (x0, y0), (x1, y1) = p0, p1
+    vx, vy = x1 - x0, y1 - y0
     seg2 = vx * vx + vy * vy
     if seg2 < 1e-18:
-        return (gx - p0[0]) ** 2 + (gy - p0[1]) ** 2 <= width * width
-    t = np.clip(((gx - p0[0]) * vx + (gy - p0[1]) * vy) / seg2, 0.0, 1.0)
-    dx = gx - (p0[0] + t * vx)
-    dy = gy - (p0[1] + t * vy)
-    return dx * dx + dy * dy <= width * width
+        return (gx - x0) ** 2 + (gy - y0) ** 2 <= width * width
+    t = (gx - x0) * vx + (gy - y0) * vy
+    t /= seg2
+    t.clip(0.0, 1.0, out=t)
+    dx = t * vx
+    dx += x0
+    np.subtract(gx, dx, out=dx)
+    dx *= dx
+    dy = t
+    dy *= vy
+    dy += y0
+    np.subtract(gy, dy, out=dy)
+    dy *= dy
+    dx += dy
+    return dx <= width * width
 
 
 def render(scene: SceneSpec, state: WorldState,
@@ -365,21 +408,19 @@ def render(scene: SceneSpec, state: WorldState,
     match a full-frame rasterization."""
     if resolution < 16:
         raise ValueError("resolution must be at least 16x16")
-    xs, ys, table, zones = _grid(resolution)
-    img = np.empty((resolution, resolution, 3), dtype=np.uint8)
-    img[:] = background_value(scene.background_color, scene.lighting_gain)
-    img[table] = PALETTE[scene.table_color]
-    for color, window in zones:
-        img[window] = PALETTE[color]
+    xs, ys, _, _ = _grid(resolution)
+    img = _backdrop(scene, resolution).copy()
 
+    poses = state.object_poses.tolist()
     for i, obj in enumerate(scene.objects):
-        x, y = state.object_poses[i]
+        x, y = poses[i]
         h = _SHAPE_HALF_WIDTH * obj.radius
         window, gx, gy = _box_window(xs, ys, x - h, y - h, x + h, y + h)
         img[window][_object_mask(gx, gy, obj, (x, y))] = PALETTE[obj.color]
 
     robot = PALETTE[ROBOT_COLOR_INDEX]
     w = ARM_THICKNESS
+    gripper = state.gripper.tolist()
     for arm in range(2):
         base, elbow, eff = arm_points(state, arm)
         for p0, p1 in ((base, elbow), (elbow, eff)):
@@ -387,7 +428,7 @@ def render(scene: SceneSpec, state: WorldState,
                 xs, ys, min(p0[0], p1[0]) - w, min(p0[1], p1[1]) - w,
                 max(p0[0], p1[0]) + w, max(p0[1], p1[1]) + w)
             img[window][_segment_mask(gx, gy, p0, p1, w)] = robot
-        r_eff = (EFFECTOR_RADIUS_CLOSED if state.gripper[arm] >= 0.5
+        r_eff = (EFFECTOR_RADIUS_CLOSED if gripper[arm] >= 0.5
                  else EFFECTOR_RADIUS_OPEN)
         ex, ey = eff
         window, gx, gy = _box_window(xs, ys, ex - r_eff, ey - r_eff,

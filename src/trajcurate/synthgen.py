@@ -168,19 +168,28 @@ def remap_frames(frames: np.ndarray, scene: SceneSpec,
         if src == robot or src in value_map:
             continue
         value_map[src] = dst
-    # one uint32 per pixel (r << 16 | g << 8 | b), built in place so only one
-    # extra plane is allocated; each colour is then a single equality test
+    # One uint32 per pixel (r << 16 | g << 8 | b), built in place. Each colour
+    # is one equality test on the packed plane and one scalar fill of its copy,
+    # which is cheaper than writing 3-byte rows through a mask; the recoloured
+    # plane is then unpacked into a new C-ordered uint8 array. The equality
+    # tests read the unfilled plane, so a filled pixel never matches again.
     packed = frames[..., 0].astype(np.uint32)
     packed <<= 8
     packed |= frames[..., 1]
     packed <<= 8
     packed |= frames[..., 2]
-    out = frames.copy()
+    out32 = packed.copy()
     for src, dst in value_map.items():
-        if src == dst:
-            continue
-        key = src[0] << 16 | src[1] << 8 | src[2]
-        out[packed == key] = np.array(dst, dtype=np.uint8)
+        if src != dst:
+            out32[packed == (src[0] << 16 | src[1] << 8 | src[2])] = (
+                dst[0] << 16 | dst[1] << 8 | dst[2])
+    # assigning uint32 to uint8 keeps the low byte of each value
+    out = np.empty(frames.shape, dtype=np.uint8)
+    out[..., 2] = out32
+    out32 >>= 8
+    out[..., 1] = out32
+    out32 >>= 8
+    out[..., 0] = out32
     return out, new_scene
 
 

@@ -91,6 +91,22 @@ def rewrite(path, edit_arrays=None, **meta_changes):
     checkpoint.save_checkpoint(path, arrays, meta={**meta, **meta_changes})
 
 
+@pytest.mark.parametrize("field, value", [("stride", 2), ("clip_len", 8)])
+def test_encoder_hyper_rejects_clip_geometry_other_than_the_clips(field, value):
+    with pytest.raises(ValueError, match=field):
+        EncoderHyper(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [("stride", 2), ("clip_len", 8)])
+def test_encoder_load_rejects_meta_clip_geometry(tmp_path, field, value):
+    """Meta that disagrees with the clips `clip_windows` cuts is rejected."""
+    path = tmp_path / "encoder.tckp"
+    EncoderModel(EncoderHyper(dim=8, heads=2, blocks=1, resolution=32), seed=1).save(path)
+    rewrite(path, **{field: value})
+    with pytest.raises(CheckpointError, match=field):
+        EncoderModel.load(path)
+
+
 @pytest.mark.parametrize("cls, hyper", MODELS)
 @pytest.mark.parametrize("field, value", [("dim", 0), ("dim", -3), ("heads", 0), ("heads", 3)])
 def test_model_load_rejects_meta_out_of_range(tmp_path, cls, hyper, field, value):

@@ -1,9 +1,9 @@
 """Golden outputs of a tiny fixed-seed run of the whole training stack.
 
-Collects three demonstrations, saves them as a dataset, and trains a tiny
-encoder, probe and IDM on them, plus an IDM at the default hyper. The sha256
-of every file written and of every loss log is pinned, so a refactor that
-changes any output bit fails here.
+Collects three demonstrations, saves them as a dataset, writes a restyled
+copy of one, and trains a tiny encoder, probe and IDM on them, plus an IDM at
+the default hyper. The sha256 of every file written and of every loss log is
+pinned, so a refactor that changes any output bit fails here.
 
 Recorded on x86-64 (Intel Xeon, 2 cores), Python 3.11, numpy 2.4 with
 scipy-openblas 0.3.31. BLAS builds may reorder float sums, so on another
@@ -17,7 +17,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from trajcurate import dataset, encoder, flow, idm, probe
+from trajcurate import dataset, encoder, flow, idm, probe, synthgen
 from trajcurate.optim import LrSchedule
 
 GOLDEN = {
@@ -25,6 +25,8 @@ GOLDEN = {
         "54e9fd87e059e0dde10a1b8b3b349e433e50c9061af1d6edc43e8da607a1941e",
     "encoder.tckp":
         "3f4a776290517c698ac391d0fcd50eda29ca9d6caeb7565826222658351d3775",
+    "restyled.ntrj":
+        "bcb8e121f14438b48c73011e41c8aa7d5e26c1b9192094c6752c0d041b4d402f",
     "probe.tckp":
         "b706466be1a0e1a5ba6ca0faa48408000881879ceb45823f46f3925033a19b9d",
     "idm.tckp":
@@ -60,6 +62,15 @@ def outputs(tmp_path_factory):
         h.update(path.name.encode())
         h.update(path.read_bytes())
     out = {"dataset": h.hexdigest()}
+
+    # A restyled demo pins `remap_frames` bytes directly, not only through
+    # the encoder that pretrains on recoloured clips.
+    rng = np.random.default_rng(5)
+    palette_map = synthgen.random_palette_map(demos[0].scene, rng)
+    restyled = synthgen.restyle_video(demos[0], palette_map,
+                                      float(rng.uniform(0.5, 1.5)))
+    dataset.write_episode(restyled, root / "restyled.ntrj")
+    out["restyled.ntrj"] = _sha((root / "restyled.ntrj").read_bytes())
 
     enc = encoder.pretrain_encoder(
         demos, encoder.EncoderTrainConfig(steps=2, batch_clips=3, seed=5),

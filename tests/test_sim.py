@@ -270,6 +270,21 @@ def test_render_matches_full_frame_reference(objects, joints, gripper,
     assert np.array_equal(frame, reference_render(scene, state, resolution))
 
 
+def test_render_backdrop_cache_does_not_leak_between_scenes():
+    """Scenes that differ only in background colour, lighting gain, table
+    colour or resolution, rendered alternately, each match the reference; and
+    writing into a returned frame does not reach the next render."""
+    objects = [SceneObject("circle", 1, 0.055, (0.40, 0.35))]
+    base = (make_scene(objects), 64)
+    state = sim.initial_state(base[0])
+    for variant in [(make_scene(objects, bg=12), 64), (make_scene(objects, gain=1.2), 64),
+                    (make_scene(objects, table=5), 64), (make_scene(objects), 48)]:
+        for scene, resolution in (base, variant, variant, base, base):
+            frame = sim.render(scene, state, resolution)
+            assert np.array_equal(frame, reference_render(scene, state, resolution))
+            frame[:] = 255 - frame
+
+
 # -- replay ------------------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajcurate import dataset, sim, synthgen
+from trajcurate.encoder import clip_windows
 from trajcurate.sim import Instruction, SceneObject, SceneSpec
 from trajcurate.synthgen import CorruptionMixture, CorruptionSpec
 
@@ -158,6 +159,25 @@ def test_remap_frames_matches_per_colour_reference(data, table, bg, gain,
     assert out.dtype == np.uint8 and out.shape == frames.shape
     assert np.array_equal(out, ref)
     assert new_scene == ref_scene
+
+
+def test_remap_frames_on_a_read_only_clip_window():
+    """Encoder pretraining recolours `clip_windows` views, which are strided
+    and read-only: the result equals the remap of a contiguous copy, is a new
+    writable uint8 array, and the window is left as it was."""
+    scene = make_scene()
+    rng = np.random.default_rng(4)
+    video = sim.replay(scene, sim.initial_state(scene),
+                       rng.uniform(-0.1, 0.1, (79, 6)), 32)
+    window = clip_windows(video)[1]
+    assert not window.flags.writeable and not window.flags.c_contiguous
+    before = window.copy()
+    palette_map = synthgen.random_palette_map(scene, rng)
+    out, _ = synthgen.remap_frames(window, scene, palette_map, 0.8)
+    ref, _ = synthgen.remap_frames(np.ascontiguousarray(window), scene, palette_map, 0.8)
+    assert out.dtype == np.uint8 and out.flags.writeable
+    assert np.array_equal(out, ref) and not np.array_equal(out, before)
+    assert np.array_equal(window, before)
 
 
 # -- instruction proposal ---------------------------------------------------------
