@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,6 +37,8 @@ VERSION = 1
 EMBODIMENT_REAL = "real"
 EMBODIMENT_NEURAL = "neural"
 DEMO_ATTEMPTS = 12      # scene and expert draws per demonstration
+MAX_MOVE_STEPS = 140    # controller steps to reach one waypoint
+GRIP_STEPS = 3          # steps holding each gripper command
 # Shorter episodes are re-drawn, so every demonstration yields at least two
 # clip windows for pair construction downstream.
 MIN_DEMO_FRAMES = 81
@@ -153,9 +156,9 @@ class _Controller:
     def hold_grip(self) -> float:
         return float(self.state.gripper[self.arm])
 
-    def move_to(self, point, tol: float = 0.015, max_steps: int = 140) -> None:
+    def move_to(self, point, tol: float) -> None:
         point = np.asarray(point, dtype=float)
-        for _ in range(max_steps):
+        for _ in range(MAX_MOVE_STEPS):
             eff = sim.effector_position(self.state, self.arm)
             if float(np.hypot(*(eff - point))) <= tol:
                 return
@@ -166,8 +169,8 @@ class _Controller:
             self._emit(np.clip(deltas, -A_MAX, A_MAX), self.hold_grip())
         raise ExpertFailure(f"waypoint {point} not reached")
 
-    def set_grip(self, value: float, steps: int = 3) -> None:
-        for _ in range(steps):
+    def set_grip(self, value: float) -> None:
+        for _ in range(GRIP_STEPS):
             self._emit(np.zeros(2), value)
 
     def dwell(self, steps: int) -> None:
@@ -189,6 +192,7 @@ def scripted_expert(scene: SceneSpec, instruction: Instruction, seed: int,
     target = sim.find_target(scene, instruction)
     arm = 0 if instruction.hand == "left" else 1
     ctl = _Controller(scene, arm, rng, speed=float(rng.uniform(*speed_range)))
+    start = ctl.state
 
     obj_pos = np.array(scene.objects[target].position)
     jitter = lambda s: rng.normal(0.0, s, size=2)
@@ -227,8 +231,9 @@ def scripted_expert(scene: SceneSpec, instruction: Instruction, seed: int,
     ctl.move_to(retreat, tol=0.08)
     ctl.dwell(4)
 
-    states = sim.rollout(scene, sim.initial_state(scene), ctl.actions)
-    if not sim.task_success(scene, states, instruction):
+    # sim.step never mutates its input, so the controller's state is the last
+    # state of a rollout of its actions, and the oracle reads only the ends
+    if not sim.task_success(scene, [start, ctl.state], instruction):
         raise ExpertFailure("rollout does not satisfy the task oracle")
     return np.stack(ctl.actions)
 
@@ -417,15 +422,19 @@ def save_dataset(episodes: list[Episode], path, name: str = "dataset",
     An existing manifest is removed before any episode is rewritten, and the
     new one is renamed into place whole, so a crash midway leaves a directory
     that `load_dataset` rejects rather than a manifest over mixed episodes.
+    Repeated episode ids, whose files would overwrite each other, raise
+    ValueError before anything in the directory changes.
     """
+    ids = [int(episode.episode_id) for episode in episodes]
+    repeated = sorted(eid for eid, n in Counter(ids).items() if n > 1)
+    if repeated:
+        raise ValueError(f"repeated episode ids {repeated}")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     manifest_path = path / "manifest.json"
     manifest_path.unlink(missing_ok=True)
-    ids = []
-    for episode in episodes:
-        write_episode(episode, path / episode_filename(episode.episode_id))
-        ids.append(int(episode.episode_id))
+    for episode, eid in zip(episodes, ids):
+        write_episode(episode, path / episode_filename(eid))
     manifest = {"name": name, "seed": int(seed), "count": len(ids),
                 "episode_ids": ids}
     tmp = path / "manifest.json.tmp"

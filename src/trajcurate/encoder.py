@@ -8,6 +8,10 @@ geometry and motion, never from appearance. After pretraining the encoder is
 frozen and the attentive probe reads its tokens.
 
 Videos shorter than one clip are front-padded by repeating frame 0.
+
+The clip geometry (CLIP_LEN, STRIDE) is fixed by this module, not by the
+model's hyperparameters: checkpoints record it in meta only, and loading one
+whose meta lacks it or disagrees with it fails.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .checkpoint import arrays_must_match, hyper_from_meta, load_checkpoint, save_checkpoint
+from .checkpoint import (CheckpointError, arrays_must_match, hyper_from_meta,
+                         load_checkpoint, save_checkpoint)
 from .dataset import Episode
 from .nn import Linear, ParamStore, Trunk, patchify
 from .optim import AdamW, LrSchedule, train_step, wsd_lr
@@ -57,22 +62,11 @@ class EncoderHyper:
     blocks: int = 2
     patch: int = 16
     tubelet: int = 2
-    clip_len: int = CLIP_LEN
-    stride: int = STRIDE
     resolution: int = 64
-
-    def __post_init__(self):
-        # clip_windows cuts every clip with CLIP_LEN and STRIDE; these two
-        # fields only record that geometry in checkpoint meta, so any other
-        # value would describe clips the model never sees.
-        if (self.clip_len, self.stride) != (CLIP_LEN, STRIDE):
-            raise ValueError(
-                f"clip_len {self.clip_len} and stride {self.stride} must be "
-                f"the clip geometry {CLIP_LEN} and {STRIDE}")
 
     @property
     def tokens_per_clip(self) -> int:
-        return (self.clip_len // self.tubelet) * (self.resolution // self.patch) ** 2
+        return (CLIP_LEN // self.tubelet) * (self.resolution // self.patch) ** 2
 
 
 class EncoderModel:
@@ -94,8 +88,8 @@ class EncoderModel:
     def _tubelets(self, clips: np.ndarray) -> np.ndarray:
         h = self.hyper
         b, t = clips.shape[0], clips.shape[1]
-        if t != h.clip_len:
-            raise ValueError(f"clip length {t} != {h.clip_len}")
+        if t != CLIP_LEN:
+            raise ValueError(f"clip length {t} != {CLIP_LEN}")
         patches = patchify(clips, h.patch)            # (B, T, P, pd)
         p = patches.shape[2]
         slots = t // h.tubelet
@@ -104,7 +98,7 @@ class EncoderModel:
         return patches.reshape(b, slots * p, -1)      # (B, M, tubelet*pd)
 
     def encode(self, clips: np.ndarray) -> Tensor:
-        """(B, clip_len, H, W, 3) -> token Tensor (B, M, D); gradient-capable."""
+        """(B, CLIP_LEN, H, W, 3) -> token Tensor (B, M, D); gradient-capable."""
         tubes = self._tubelets(np.asarray(clips))
         x = self.tube_embed(Tensor(tubes)).layer_norm() + self.pos_embed
         return self.trunk(x)
@@ -115,11 +109,16 @@ class EncoderModel:
 
     def save(self, path) -> None:
         save_checkpoint(path, self.store.arrays(),
-                        meta={**asdict(self.hyper), "frozen": float(self.frozen)})
+                        meta={**asdict(self.hyper), "clip_len": CLIP_LEN,
+                              "stride": STRIDE, "frozen": float(self.frozen)})
 
     @classmethod
     def load(cls, path) -> "EncoderModel":
         arrays, meta = load_checkpoint(path)
+        for name, value in (("clip_len", CLIP_LEN), ("stride", STRIDE)):
+            if meta.get(name) != value:
+                raise CheckpointError(f"{path}: meta field {name!r} is "
+                                      f"{meta.get(name)!r}, not {value}")
         model = cls(hyper_from_meta(EncoderHyper, meta))
         with arrays_must_match(path):
             model.store.load(arrays)

@@ -194,8 +194,7 @@ def _predict_batch(model: IdmModel, frames_a: np.ndarray, frames_b: np.ndarray,
     return _clip_chunk(model.denormalize(np.mean(runs, axis=0)))
 
 
-def label_video(video: np.ndarray, model: IdmModel,
-                seed: int = LABEL_SEED) -> np.ndarray:
+def label_video(video: np.ndarray, model: IdmModel) -> np.ndarray:
     """Pseudo-label a video: non-overlapping windows at 0, H, 2H, ...; the final
     partial window conditions on (frame_t, last frame) and keeps its first rows."""
     t_total = len(video)
@@ -206,7 +205,7 @@ def label_video(video: np.ndarray, model: IdmModel,
     ends = [min(s + h, t_total - 1) for s in starts]
     frames_a = np.stack([video[s] for s in starts])
     frames_b = np.stack([video[e] for e in ends])
-    chunks = _predict_batch(model, frames_a, frames_b, derive_seed(seed, "label-windows"))
+    chunks = _predict_batch(model, frames_a, frames_b, derive_seed(LABEL_SEED, "label-windows"))
     rows = [chunks[i, :ends[i] - starts[i]] for i in range(len(starts))]
     out = np.concatenate(rows, axis=0)
     assert len(out) == t_total - 1

@@ -22,8 +22,8 @@ class ParamStore:
         self.rng = rng
         self.params: dict[str, Tensor] = {}
 
-    def gaussian(self, name: str, shape: tuple[int, ...], scale: float = INIT_SCALE) -> Tensor:
-        t = Tensor(self.rng.normal(0.0, scale, size=shape), requires_grad=True)
+    def gaussian(self, name: str, shape: tuple[int, ...]) -> Tensor:
+        t = Tensor(self.rng.normal(0.0, INIT_SCALE, size=shape), requires_grad=True)
         self.params[name] = t
         return t
 

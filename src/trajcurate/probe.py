@@ -22,7 +22,7 @@ from . import sim
 from .checkpoint import arrays_must_match, hyper_from_meta, load_checkpoint, save_checkpoint
 from .dataset import Episode
 from .encoder import EncoderModel, clip_windows
-from .nn import Linear, ParamStore
+from .nn import LayerNorm, Linear, ParamStore
 from .optim import AdamW, train_step
 from .seeding import rng_for
 from .synthgen import NeuralSample
@@ -125,8 +125,7 @@ class ProbeModel:
         self.wk = Linear(store, "wk", d, d)
         self.wv = Linear(store, "wv", d, d)
         self.wo = Linear(store, "wo", d, d)
-        self.ln_g = store.ones("ln.g", (d,))
-        self.ln_b = store.zeros("ln.b", (d,))
+        self.ln = LayerNorm(store, "ln", d)
         self.head = Linear(store, "head", d, 1)
         self.store = store
 
@@ -145,7 +144,7 @@ class ProbeModel:
         query = concat([self.query.reshape(1, 1, -1)] * b, axis=0)
         attended = attention(self.wq(query), self.wk(tokens), self.wv(tokens),
                              self.hyper.heads)
-        vec = self.wo(attended).layer_norm() * self.ln_g + self.ln_b
+        vec = self.ln(self.wo(attended))
         logits = self.head(vec).reshape(b)
         return logits
 

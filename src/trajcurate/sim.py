@@ -148,37 +148,33 @@ class SceneObject:
 @dataclass(frozen=True)
 class SceneSpec:
     table_color: int
-    background_id: str
     background_color: int
     lighting_gain: float
     objects: tuple[SceneObject, ...]
-    target_index: int
-    distractor_count: int
 
     def __post_init__(self):
         if not (0.5 <= self.lighting_gain <= 1.5):
             raise ValueError("lighting_gain outside [0.5, 1.5]")
-        if self.objects and not (0 <= self.target_index < len(self.objects)):
-            raise ValueError("target_index out of range")
         for obj in self.objects:
             if obj.color == ROBOT_COLOR_INDEX:
                 raise ValueError("robot color is reserved")
 
     def to_dict(self) -> dict:
+        # background_id, target_index and distractor_count follow from the
+        # other fields; version-1 files still carry them, and readers ignore them
         return {"table_color": int(self.table_color),
-                "background_id": self.background_id,
+                "background_id": f"bg{self.background_color}",
                 "background_color": int(self.background_color),
                 "lighting_gain": float(self.lighting_gain),
                 "objects": [o.to_dict() for o in self.objects],
-                "target_index": int(self.target_index),
-                "distractor_count": int(self.distractor_count)}
+                "target_index": 0,
+                "distractor_count": max(len(self.objects) - 1, 0)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneSpec":
-        return cls(int(d["table_color"]), d["background_id"],
-                   int(d["background_color"]), float(d["lighting_gain"]),
-                   tuple(SceneObject.from_dict(o) for o in d["objects"]),
-                   int(d["target_index"]), int(d["distractor_count"]))
+        return cls(int(d["table_color"]), int(d["background_color"]),
+                   float(d["lighting_gain"]),
+                   tuple(SceneObject.from_dict(o) for o in d["objects"]))
 
 
 @dataclass(frozen=True)
@@ -532,10 +528,8 @@ def sample_scene(rng: np.random.Generator) -> SceneSpec:
         shape = str(rng.choice(SHAPES))
         objects.append(SceneObject(shape, int(colors[i]), radius,
                                    (float(pos[0]), float(pos[1]))))
-    return SceneSpec(table_color=table, background_id=f"bg{bg}",
-                     background_color=bg, lighting_gain=gain,
-                     objects=tuple(objects), target_index=0,
-                     distractor_count=n_obj - 1)
+    return SceneSpec(table_color=table, background_color=bg, lighting_gain=gain,
+                     objects=tuple(objects))
 
 
 CANONICAL_TABLE = 8
@@ -548,7 +542,6 @@ def canonical_scene(scene: SceneSpec) -> SceneSpec:
     objects = tuple(replace(o, color=CANONICAL_OBJECT_CYCLE[i % len(CANONICAL_OBJECT_CYCLE)])
                     for i, o in enumerate(scene.objects))
     return replace(scene, table_color=CANONICAL_TABLE,
-                   background_id="canonical",
                    background_color=CANONICAL_BACKGROUND,
                    lighting_gain=1.0, objects=objects)
 

@@ -32,6 +32,7 @@ from .sim import Instruction, SceneSpec, WorldState
 
 CORRUPTION_KINDS = ("none", "tele_grab", "offset_grasp", "object_drift",
                     "temporal_jitter", "wrong_task")
+MAGNITUDE_RANGE = (0.25, 1.0)   # of every drawn corruption but "none"
 
 EDIT_AXES = ("table", "target_object", "lighting", "background")
 
@@ -59,18 +60,17 @@ class CorruptionSpec:
 
 @dataclass(frozen=True)
 class CorruptionMixture:
-    """Sampling weights per corruption kind plus the magnitude range."""
+    """Sampling weights per corruption kind."""
     weights: dict[str, float] = field(default_factory=lambda: {
         "none": 0.6, "tele_grab": 0.1, "offset_grasp": 0.1,
         "object_drift": 0.1, "temporal_jitter": 0.1})
-    magnitude_range: tuple[float, float] = (0.25, 1.0)
 
     def draw(self, rng: np.random.Generator) -> CorruptionSpec:
         kinds = sorted(self.weights)
         probs = np.array([self.weights[k] for k in kinds], dtype=float)
         probs = probs / probs.sum()
         kind = kinds[int(rng.choice(len(kinds), p=probs))]
-        mag = 0.0 if kind == "none" else float(rng.uniform(*self.magnitude_range))
+        mag = 0.0 if kind == "none" else float(rng.uniform(*MAGNITUDE_RANGE))
         return CorruptionSpec(kind, mag, seed=int(rng.integers(2**31)))
 
 
@@ -103,7 +103,8 @@ def _pick_color(rng: np.random.Generator, exclude: set[int]) -> int:
 
 def edit_initial_scene(scene: SceneSpec, axes: Iterable[str],
                        rng: np.random.Generator) -> SceneSpec:
-    """Appearance-only scene edit; object positions and radii never change."""
+    """Appearance-only scene edit; object positions and radii never change.
+    The "target_object" axis gives object 0 a new colour and shape."""
     axes = tuple(axes)
     if not axes:
         raise ValueError("need at least one edit axis")
@@ -122,17 +123,14 @@ def edit_initial_scene(scene: SceneSpec, axes: Iterable[str],
         new = _pick_color(rng, used)
         used.discard(out.background_color)
         used.add(new)
-        out = replace(out, background_id=f"bg{new}", background_color=new)
+        out = replace(out, background_color=new)
     if "lighting" in axes:
         out = replace(out, lighting_gain=float(rng.uniform(0.5, 1.5)))
     if "target_object" in axes and out.objects:
-        idx = out.target_index
-        target = out.objects[idx]
         new_color = _pick_color(rng, used)
         new_shape = str(rng.choice(sim.SHAPES))
-        objects = list(out.objects)
-        objects[idx] = replace(target, color=new_color, shape=new_shape)
-        out = replace(out, objects=tuple(objects))
+        target = replace(out.objects[0], color=new_color, shape=new_shape)
+        out = replace(out, objects=(target, *out.objects[1:]))
     return out
 
 
@@ -148,9 +146,8 @@ def apply_palette_map(scene: SceneSpec, palette_map: dict[int, int],
     remap = lambda c: palette_map.get(c, c)
     objects = tuple(replace(o, color=remap(o.color)) for o in scene.objects)
     gain = scene.lighting_gain if new_gain is None else float(new_gain)
-    bg = remap(scene.background_color)
     return replace(scene, table_color=remap(scene.table_color),
-                   background_id=f"bg{bg}", background_color=bg,
+                   background_color=remap(scene.background_color),
                    lighting_gain=gain, objects=objects)
 
 

@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 _GRAD_ENABLED = True
+LAYER_NORM_EPS = 1e-5
 
 
 @contextlib.contextmanager
@@ -329,11 +330,11 @@ class Tensor:
             self._accumulate(g - sm * g.sum(axis=axis, keepdims=True))
         return _op(z - lse, (self,), backward)
 
-    def layer_norm(self, eps: float = 1e-5):
+    def layer_norm(self):
         """Normalize over the last axis (affine params applied by the caller)."""
         y = self.data - self.data.mean(axis=-1, keepdims=True)
         var = (y * y).mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
+        inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
         y *= inv
         n = self.shape[-1]
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from trajcurate import checkpoint
 from trajcurate.checkpoint import CheckpointError, hyper_from_meta
-from trajcurate.encoder import EncoderHyper, EncoderModel
+from trajcurate.encoder import CLIP_LEN, STRIDE, EncoderHyper, EncoderModel
 from trajcurate.idm import IdmHyper, IdmModel
 from trajcurate.probe import ProbeHyper, ProbeModel
 
@@ -91,18 +91,20 @@ def rewrite(path, edit_arrays=None, **meta_changes):
     checkpoint.save_checkpoint(path, arrays, meta={**meta, **meta_changes})
 
 
-@pytest.mark.parametrize("field, value", [("stride", 2), ("clip_len", 8)])
-def test_encoder_hyper_rejects_clip_geometry_other_than_the_clips(field, value):
-    with pytest.raises(ValueError, match=field):
-        EncoderHyper(**{field: value})
-
-
-@pytest.mark.parametrize("field, value", [("stride", 2), ("clip_len", 8)])
+@pytest.mark.parametrize("field, value", [("stride", 2), ("clip_len", 8),
+                                          ("stride", None), ("clip_len", None)])
 def test_encoder_load_rejects_meta_clip_geometry(tmp_path, field, value):
-    """Meta that disagrees with the clips `clip_windows` cuts is rejected."""
+    """Meta that lacks the clip geometry `clip_windows` cuts, or disagrees
+    with it, is rejected; None deletes the field."""
     path = tmp_path / "encoder.tckp"
     EncoderModel(EncoderHyper(dim=8, heads=2, blocks=1, resolution=32), seed=1).save(path)
-    rewrite(path, **{field: value})
+    arrays, meta = checkpoint.load_checkpoint(path)
+    assert (meta["clip_len"], meta["stride"]) == (CLIP_LEN, STRIDE)
+    if value is None:
+        del meta[field]
+    else:
+        meta[field] = value
+    checkpoint.save_checkpoint(path, arrays, meta=meta)
     with pytest.raises(CheckpointError, match=field):
         EncoderModel.load(path)
 

@@ -11,11 +11,9 @@ from trajcurate.sim import Instruction, SceneObject, SceneSpec
 
 
 def tiny_scene():
-    return SceneSpec(table_color=8, background_id="bg10", background_color=10,
-                     lighting_gain=1.0,
+    return SceneSpec(table_color=8, background_color=10, lighting_gain=1.0,
                      objects=(SceneObject("circle", 1, 0.055, (0.40, 0.35)),
-                              SceneObject("square", 3, 0.055, (0.62, 0.40))),
-                     target_index=0, distractor_count=1)
+                              SceneObject("square", 3, 0.055, (0.62, 0.40))))
 
 
 def make_episode(eid=0, t=5, embodiment="real", rng=None):
@@ -226,6 +224,23 @@ def test_resave_over_dataset_leaves_no_temporary_file(tmp_path):
     dataset.save_dataset([make_episode(eid=0)], path)
     assert sorted(p.name for p in path.iterdir()) == [dataset.episode_filename(0),
                                                       "manifest.json"]
+
+
+def test_repeated_episode_ids_raise_and_leave_the_dataset_unchanged(tmp_path):
+    """Episodes sharing an id would overwrite each other's file; saving them
+    raises before the old manifest or any episode file changes."""
+    path = tmp_path / "ds"
+    old = [make_episode(eid=i) for i in range(2)]
+    dataset.save_dataset(old, path)
+    before = {p.name: p.read_bytes() for p in path.iterdir()}
+    repeated = [make_episode(eid=eid, t=7, rng=np.random.default_rng(50 + i))
+                for i, eid in enumerate((0, 1, 0))]
+    with pytest.raises(ValueError, match=r"repeated episode ids \[0\]"):
+        dataset.save_dataset(repeated, path)
+    assert {p.name: p.read_bytes() for p in path.iterdir()} == before
+    loaded = dataset.load_dataset(path)
+    assert len(loaded) == 2
+    assert all(dataset.episodes_equal(a, b) for a, b in zip(old, loaded))
 
 
 @pytest.mark.parametrize("text", ['{"count": 1', "[]", '{"count": 1}',

@@ -126,8 +126,7 @@ def test_train_fm_converges_on_toy_problem():
     data = np.full((8, 1), 2.0)
     cfg = TrainConfig(steps=100, batch_size=8,
                       schedule=LrSchedule(base_lr=0.05, total_steps=100,
-                                          stable_steps=100), seed=0,
-                      weight_decay=0.0)
+                                          stable_steps=100), seed=0)
     losses = train_fm(model, lambda s, r: (data, {}), cfg)
     assert len(losses) == 100
     # convex problem: the loss trend over the first 100 steps is decreasing

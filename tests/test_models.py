@@ -205,8 +205,7 @@ def test_nan_mid_trunk_raises_in_idm_training():
 def test_nan_mid_trunk_raises_in_encoder_readout():
     model = poison(EncoderModel(NAN_ENCODER, seed=1), MID_TRUNK)
     with pytest.raises(FloatingPointError):
-        model.encode_np(random_frames(2 * NAN_ENCODER.clip_len).reshape(
-            2, NAN_ENCODER.clip_len, 32, 32, 3))
+        model.encode_np(random_frames(2 * CLIP_LEN).reshape(2, CLIP_LEN, 32, 32, 3))
 
 
 @pytest.mark.parametrize("poisoned", ["encoder", "probe"])
@@ -270,8 +269,7 @@ def check_directional_grads(build, loss_of, seed, n_dirs=3):
 
 
 def test_encoder_contrastive_loss_grad_matches_finite_differences():
-    clips = random_frames(4 * TINY_ENCODER.clip_len, seed=5).reshape(
-        4, TINY_ENCODER.clip_len, 32, 32, 3)
+    clips = random_frames(4 * CLIP_LEN, seed=5).reshape(4, CLIP_LEN, 32, 32, 3)
     check_directional_grads(
         lambda: EncoderModel(TINY_ENCODER, seed=0),
         lambda model: nt_xent_loss(model.encode(clips).mean(axis=1), 0.1), seed=6)

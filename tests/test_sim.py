@@ -10,10 +10,8 @@ from trajcurate.sim import Instruction, SceneObject, SceneSpec, WorldState
 
 
 def make_scene(objects, table=8, bg=10, gain=1.0):
-    return SceneSpec(table_color=table, background_id=f"bg{bg}",
-                     background_color=bg, lighting_gain=gain,
-                     objects=tuple(objects), target_index=0,
-                     distractor_count=max(len(objects) - 1, 0))
+    return SceneSpec(table_color=table, background_color=bg, lighting_gain=gain,
+                     objects=tuple(objects))
 
 
 def two_object_scene():

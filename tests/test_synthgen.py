@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -12,12 +13,10 @@ from trajcurate.synthgen import CorruptionMixture, CorruptionSpec
 
 
 def make_scene():
-    return SceneSpec(table_color=8, background_id="bg10", background_color=10,
-                     lighting_gain=1.0,
+    return SceneSpec(table_color=8, background_color=10, lighting_gain=1.0,
                      objects=(SceneObject("circle", 1, 0.055, (0.40, 0.35)),
                               SceneObject("square", 3, 0.055, (0.62, 0.40)),
-                              SceneObject("triangle", 4, 0.052, (0.24, 0.42))),
-                     target_index=0, distractor_count=2)
+                              SceneObject("triangle", 4, 0.052, (0.24, 0.42))))
 
 
 def instr():
@@ -57,6 +56,49 @@ def test_edit_all_axes_preserves_structure():
 def test_edit_empty_axes_rejected():
     with pytest.raises(ValueError):
         synthgen.edit_initial_scene(make_scene(), (), np.random.default_rng(0))
+
+
+# -- scene format --------------------------------------------------------------
+
+DERIVED_KEYS = ("background_id", "target_index", "distractor_count")
+# What SceneSpec held as fields before these keys were derived from the
+# others: (background_id, target_index, distractor_count) of sample_scene(rng),
+# its apply_palette_map restyle and its edit on every axis, for
+# rng = default_rng(seed), seeds 0-7.
+VERSION_1_KEYS = [
+    (("bg9", 0, 1), ("bg9", 0, 1), ("bg2", 0, 1)),
+    (("bg10", 0, 1), ("bg8", 0, 1), ("bg1", 0, 1)),
+    (("bg8", 0, 1), ("bg11", 0, 1), ("bg10", 0, 1)),
+    (("bg6", 0, 1), ("bg8", 0, 1), ("bg10", 0, 1)),
+    (("bg12", 0, 2), ("bg6", 0, 2), ("bg6", 0, 2)),
+    (("bg12", 0, 1), ("bg7", 0, 1), ("bg9", 0, 1)),
+    (("bg10", 0, 2), ("bg7", 0, 2), ("bg9", 0, 2)),
+    (("bg9", 0, 2), ("bg4", 0, 2), ("bg6", 0, 2)),
+]
+
+
+def sampled_scenes(seed):
+    rng = np.random.default_rng(seed)
+    scene = sim.sample_scene(rng)
+    restyled = synthgen.apply_palette_map(
+        scene, synthgen.random_palette_map(scene, rng), 1.1)
+    edited = synthgen.edit_initial_scene(scene, synthgen.EDIT_AXES, rng)
+    return scene, restyled, edited
+
+
+@pytest.mark.parametrize("seed", range(len(VERSION_1_KEYS)))
+def test_scene_dict_writes_the_version_1_keys(seed):
+    written = [s.to_dict() for s in sampled_scenes(seed)]
+    assert [tuple(d[k] for k in DERIVED_KEYS) for d in written] == list(VERSION_1_KEYS[seed])
+
+
+@pytest.mark.parametrize("seed", range(len(VERSION_1_KEYS)))
+def test_scene_dict_reads_with_and_without_the_derived_keys(seed):
+    for scene in sampled_scenes(seed):
+        d = json.loads(json.dumps(scene.to_dict()))
+        assert SceneSpec.from_dict(d) == scene
+        bare = {k: v for k, v in d.items() if k not in DERIVED_KEYS}
+        assert SceneSpec.from_dict(bare) == scene
 
 
 # -- restyle -------------------------------------------------------------------
@@ -139,10 +181,8 @@ def test_remap_frames_matches_per_colour_reference(data, table, bg, gain,
     """Unmapped colours, robot pixels, src == dst pairs and 1-frame videos."""
     objects = [SceneObject(sim.SHAPES[i], c, 0.1, (0.2 + 0.3 * i, 0.4))
                for i, c in enumerate(object_colors)]
-    scene = SceneSpec(table_color=table, background_id=f"bg{bg}",
-                      background_color=bg, lighting_gain=gain,
-                      objects=tuple(objects), target_index=0,
-                      distractor_count=max(len(objects) - 1, 0))
+    scene = SceneSpec(table_color=table, background_color=bg, lighting_gain=gain,
+                      objects=tuple(objects))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     poses = sim.initial_state(scene).object_poses
     frames = np.stack([
@@ -197,10 +237,8 @@ def test_propose_two_one_per_hand():
 
 
 def test_propose_single_object_scene_targets_it():
-    scene = SceneSpec(table_color=8, background_id="bg10", background_color=10,
-                      lighting_gain=1.0,
-                      objects=(SceneObject("circle", 1, 0.055, (0.40, 0.35)),),
-                      target_index=0, distractor_count=0)
+    scene = SceneSpec(table_color=8, background_color=10, lighting_gain=1.0,
+                      objects=(SceneObject("circle", 1, 0.055, (0.40, 0.35)),))
     out = synthgen.propose_instructions(scene, 4, np.random.default_rng(2))
     assert all(i.target_shape == "circle" and i.target_color == 1 for i in out)
     assert all(i.behavior != "stack" for i in out)
@@ -210,9 +248,8 @@ def test_propose_feasibility_and_errors():
     scene = make_scene()
     for i in synthgen.propose_instructions(scene, 8, np.random.default_rng(3)):
         assert dataset.instruction_feasible(scene, i)
-    empty = SceneSpec(table_color=8, background_id="bg10", background_color=10,
-                      lighting_gain=1.0, objects=(), target_index=0,
-                      distractor_count=0)
+    empty = SceneSpec(table_color=8, background_color=10, lighting_gain=1.0,
+                      objects=())
     with pytest.raises(ValueError):
         synthgen.propose_instructions(empty, 1, np.random.default_rng(0))
     with pytest.raises(ValueError):
