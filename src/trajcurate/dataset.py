@@ -39,6 +39,7 @@ EMBODIMENT_NEURAL = "neural"
 DEMO_ATTEMPTS = 12      # scene and expert draws per demonstration
 MAX_MOVE_STEPS = 140    # controller steps to reach one waypoint
 GRIP_STEPS = 3          # steps holding each gripper command
+DWELL_STEPS = 4         # steps holding still after the retreat
 # Shorter episodes are re-drawn, so every demonstration yields at least two
 # clip windows for pair construction downstream.
 MIN_DEMO_FRAMES = 81
@@ -173,8 +174,8 @@ class _Controller:
         for _ in range(GRIP_STEPS):
             self._emit(np.zeros(2), value)
 
-    def dwell(self, steps: int) -> None:
-        for _ in range(steps):
+    def dwell(self) -> None:
+        for _ in range(DWELL_STEPS):
             self._emit(np.zeros(2), self.hold_grip())
 
 
@@ -229,7 +230,7 @@ def scripted_expert(scene: SceneSpec, instruction: Instruction, seed: int,
 
     retreat = np.array([sim.ARM_BASES[arm][0], 0.18])
     ctl.move_to(retreat, tol=0.08)
-    ctl.dwell(4)
+    ctl.dwell()
 
     # sim.step never mutates its input, so the controller's state is the last
     # state of a rollout of its actions, and the oracle reads only the ends

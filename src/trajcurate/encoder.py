@@ -34,7 +34,6 @@ STRIDE = 4           # temporal stride (original frames per effective frame)
 GRID_STEP = 4        # clip-start grid step, in effective frames
 PRETRAIN_LR = 1e-3
 TEMPERATURE = 0.1    # of the contrastive softmax
-WEIGHT_DECAY = 0.01
 
 
 # -- clip geometry -------------------------------------------------------------------
@@ -163,7 +162,7 @@ def pretrain_encoder(episodes: list[Episode],
     inventory = [(i, w) for i, ws in enumerate(windows) for w in range(len(ws))]
 
     model = EncoderModel(hyper, seed=config.seed)
-    opt = AdamW(weight_decay=WEIGHT_DECAY)
+    opt = AdamW()
     schedule = LrSchedule(base_lr=PRETRAIN_LR, total_steps=config.steps,
                           stable_steps=max(1, int(config.steps * 0.8)))
 

@@ -17,8 +17,6 @@ from .optim import AdamW, LrSchedule, train_step, wsd_lr
 from .seeding import rng_for
 from .tensor import Tensor
 
-WEIGHT_DECAY = 0.01
-
 
 def _expand_time(t, ndim: int):
     t = np.asarray(t, dtype=np.float64)
@@ -97,7 +95,7 @@ def train_fm(model: VelocityModel,
     drawn here so all models share the same batch construction. Returns the
     per-step loss log. Zero steps leave the model untouched.
     """
-    opt = AdamW(weight_decay=WEIGHT_DECAY)
+    opt = AdamW()
     losses: list[float] = []
     for step_idx in range(config.steps):
         rng = rng_for(config.seed, "fm-step", step_idx)

@@ -11,6 +11,8 @@ always receives exactly T-1 action rows.
 from __future__ import annotations
 
 import logging
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -179,7 +181,14 @@ def _predict_batch(model: IdmModel, frames_a: np.ndarray, frames_b: np.ndarray,
     """Average sample_avg denoising runs (seeded); the chunk posterior is
     essentially unimodal, so the mean is the minimum-MSE point estimate.
     The frame tokens are the same for every run and step, so they are
-    computed once."""
+    computed once.
+
+    The runs are independent and their numpy and scipy kernels release the
+    GIL, so they run on worker threads, at most one per usable core. Each
+    worker enters `no_grad` itself, since the grad mode is per thread. The
+    runs are averaged in run order, so the labels do not depend on which
+    thread finished first. The pool is closed before this returns, and a
+    worker's exception is raised here."""
     with no_grad():
         cond = {"tokens": model._frame_tokens(frames_a, frames_b)}
 
@@ -188,9 +197,12 @@ def _predict_batch(model: IdmModel, frames_a: np.ndarray, frames_b: np.ndarray,
             return model.velocity(x_t, t, c).readout()
 
     shape = (len(frames_a), model.hyper.horizon, ACTION_DIM)
-    runs = [flow.euler_sample(velocity_fn, cond, shape, model.hyper.euler_steps,
-                              derive_seed(seed, "avg", j))
-            for j in range(model.hyper.sample_avg)]
+    n_runs = model.hyper.sample_avg
+    with ThreadPoolExecutor(min(n_runs, len(os.sched_getaffinity(0)))) as pool:
+        futures = [pool.submit(flow.euler_sample, velocity_fn, cond, shape,
+                               model.hyper.euler_steps, derive_seed(seed, "avg", j))
+                   for j in range(n_runs)]
+        runs = [f.result() for f in futures]
     return _clip_chunk(model.denormalize(np.mean(runs, axis=0)))
 
 

@@ -14,6 +14,7 @@ __all__ = ["AdamW", "train_step", "LrSchedule", "wsd_lr"]
 
 BETAS = (0.9, 0.999)    # moment decay rates
 EPS = 1e-8
+WEIGHT_DECAY = 0.01     # every model in the package trains with this decay
 
 
 class AdamW:
@@ -23,7 +24,7 @@ class AdamW:
     `step` updates the parameter arrays in place.
     """
 
-    def __init__(self, weight_decay: float = 0.0):
+    def __init__(self, weight_decay: float = WEIGHT_DECAY):
         self.weight_decay = weight_decay
         self.first_moment: dict[str, np.ndarray] = {}
         self.second_moment: dict[str, np.ndarray] = {}

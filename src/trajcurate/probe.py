@@ -31,7 +31,6 @@ from .tensor import Tensor, attention, concat, no_grad
 LABELS = ("positive", "neg_shift", "neg_cross")
 PATIENCE = 6            # epochs without a better validation BCE before stopping
 VAL_FRACTION = 0.2      # of the episodes, held out for validation
-WEIGHT_DECAY = 0.01
 
 
 def _replay_windows(scene: sim.SceneSpec, actions: np.ndarray,
@@ -250,7 +249,7 @@ def train_probe(pair_set: PairSet, encoder: EncoderModel,
         raise ValueError("episode split left an empty train or validation set")
 
     probe = ProbeModel(ProbeHyper(dim=encoder.hyper.dim), seed=config.seed)
-    opt = AdamW(weight_decay=WEIGHT_DECAY)
+    opt = AdamW()
     arrays = probe.store.arrays()
     report = ProbeTrainReport()
     best_val = np.inf

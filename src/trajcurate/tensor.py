@@ -18,12 +18,17 @@ numpy calls `Tensor.readout()`, which checks it once. A non-finite value that
 a later op maps to a finite one (a score of minus infinity that softmax turns
 into a zero weight) is therefore reported during training but not during
 inference.
+
+The grad mode is per thread: `no_grad` switches it off for the calling thread
+alone, so threads that run inference side by side (the IDM's averaged
+denoising runs) leave training in any other thread untouched.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,20 +43,26 @@ __all__ = [
     "no_grad",
 ]
 
-_GRAD_ENABLED = True
 LAYER_NORM_EPS = 1e-5
+
+
+class _GradMode(threading.local):
+    enabled = True            # every thread starts with grad enabled
+
+
+_grad_mode = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph construction inside the block (inference mode)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Disable graph construction inside the block (inference mode), for the
+    calling thread only."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _grad_mode.enabled = prev
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -296,7 +307,7 @@ class Tensor:
         erf(phi_cdf, out=phi_cdf)
         phi_cdf += 1.0
         phi_cdf *= 0.5
-        if not (self.requires_grad and _GRAD_ENABLED):   # no backward needs phi_cdf
+        if not (self.requires_grad and _grad_mode.enabled):   # no backward needs phi_cdf
             return _op(np.multiply(phi_cdf, x, out=phi_cdf), (self,), None)
 
         def backward(g):
@@ -348,12 +359,13 @@ def _op(data, parents: tuple[Tensor, ...],
         backward: Callable[[np.ndarray], None] | None) -> Tensor:
     """The result of an op on `parents`; the only place that applies the
     graph and finite-check policy of the module docstring."""
+    grad_enabled = _grad_mode.enabled
     out = Tensor.__new__(Tensor)          # skips the constructor's finite check
     out.data = np.asarray(data, dtype=np.float64)
-    if _GRAD_ENABLED and not np.all(np.isfinite(out.data)):
+    if grad_enabled and not np.all(np.isfinite(out.data)):
         raise FloatingPointError("non-finite values entering the graph")
     out.grad = None
-    out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    out.requires_grad = grad_enabled and any(p.requires_grad for p in parents)
     out._parents, out._backward = (parents, backward) if out.requires_grad else ((), None)
     return out
 

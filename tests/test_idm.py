@@ -1,8 +1,10 @@
+import threading
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajcurate import flow, idm, sim
+from trajcurate import flow, idm, optim, sim
 from trajcurate.seeding import derive_seed
 
 TINY = idm.IdmHyper(dim=16, heads=2, blocks=1, patch=16, horizon=4,
@@ -72,3 +74,22 @@ def test_label_video_matches_per_step_reference():
             video = random_video(t, seed=t, resolution=model.hyper.resolution)
             labels = idm.label_video(video, model)
             assert labels.tobytes() == reference_label_video(video, model).tobytes()
+
+
+def test_label_video_leaves_no_thread_and_grad_on():
+    model = default_model()
+    assert model.hyper.sample_avg == 4
+    before = threading.active_count()
+    video = random_video(10, resolution=model.hyper.resolution)
+    idm.label_video(video, model)
+    assert threading.active_count() == before
+
+    rng = np.random.default_rng(5)
+    x, eps = rng.normal(size=(2, 2, model.hyper.horizon, idm.ACTION_DIM))
+    t = np.array([0.3, 0.7])
+    cond = {"frame_a": video[:2], "frame_b": video[8:]}
+    optim.train_step(model.params,
+                     lambda: flow.fm_loss(model.velocity(flow.interpolate(x, eps, t), t, cond),
+                                          x, eps),
+                     optim.AdamW(), lr=1e-3)
+    assert all(p.grad is not None and np.any(p.grad) for p in model.params.values())

@@ -16,7 +16,7 @@ def test_adamw_first_step_hand_computed():
 
 def test_adamw_zero_grad_zero_decay_is_identity():
     params = {"p": np.array([1.0, -2.0])}
-    AdamW().step(params, {"p": np.zeros(2)}, lr=0.1)
+    AdamW(weight_decay=0.0).step(params, {"p": np.zeros(2)}, lr=0.1)
     assert np.array_equal(params["p"], [1.0, -2.0])
 
 
@@ -42,7 +42,7 @@ def test_adamw_second_moment_nonnegative_and_step_increments():
 
 
 def test_adamw_wrapper_updates_in_place():
-    opt = AdamW()
+    opt = AdamW(weight_decay=0.0)
     params = {"p": np.array([1.0])}
     opt.step(params, {"p": np.array([1.0])}, lr=0.1)
     assert abs(params["p"][0] - 0.9) < 1e-7

@@ -1,4 +1,5 @@
 import gc
+import threading
 import weakref
 
 import numpy as np
@@ -153,6 +154,48 @@ def test_no_grad_skips_graph():
         t = Tensor([1.0], requires_grad=True)
         out = t * 2.0
     assert not out.requires_grad
+
+
+def joins_graph() -> bool:
+    return (Tensor([1.0], requires_grad=True) * 2.0).requires_grad
+
+
+def test_grad_mode_is_per_thread():
+    """Thread a enters `no_grad` before thread b and leaves it first, while b
+    is still inside: the order that would switch one shared mode back on
+    inside b and leave it off for good once b leaves. Each thread sees only
+    its own mode, and the main thread still builds graphs afterwards."""
+    both_inside = threading.Barrier(2, timeout=10)
+    a_inside, a_left = threading.Event(), threading.Event()
+    seen = {}
+
+    def thread_a():
+        with no_grad():
+            a_inside.set()
+            both_inside.wait()
+            seen["a inside"] = joins_graph()
+        seen["a after"] = joins_graph()
+        a_left.set()
+
+    def thread_b():
+        if not a_inside.wait(10):
+            return
+        with no_grad():
+            both_inside.wait()
+            if not a_left.wait(10):
+                return
+            seen["b inside, a left"] = joins_graph()
+        seen["b after"] = joins_graph()
+
+    threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=20)
+        assert not t.is_alive()
+    assert seen == {"a inside": False, "a after": True,
+                    "b inside, a left": False, "b after": True}
+    assert joins_graph()
 
 
 # Ops whose results are new arrays, not views of the input's data.
