@@ -1,25 +1,23 @@
 """Binary parameter checkpoints.
 
-Layout: magic b"TCKP", version u16 little-endian, then one record per tensor
-in the record layout shared with NTRJ episodes (see `dataset`), without the
-kind byte: name length u32, UTF-8 name, rank u32, dims u64[rank], float64
-payload (row-major, little-endian). Records run to EOF and are written in
+A TCKP file (magic b"TCKP", version 1) holds one float64 record per tensor in
+the record layout of `records`, without kind bytes. Records are written in
 sorted name order so identical parameter sets produce byte-identical files.
 Scalar metadata (a model's hyper fields, flags such as the encoder's frozen
-marker) is stored as one-element tensors under the "meta/" prefix.
+marker) is stored as one-element tensors under the "meta/" prefix. Loading
+rejects any NaN or infinity, in a parameter or in the meta.
 """
 
 from __future__ import annotations
 
 import contextlib
-import struct
 from dataclasses import fields
 from pathlib import Path
 from typing import TypeVar
 
 import numpy as np
 
-from .dataset import CORRUPT_ERRORS, check_header, read_array, read_name, write_array, write_name
+from .records import CORRUPT_ERRORS, read_records, write_records
 
 MAGIC = b"TCKP"
 VERSION = 1
@@ -33,32 +31,24 @@ class CheckpointError(RuntimeError):
 
 def save_checkpoint(path, params: dict[str, np.ndarray],
                     meta: dict[str, float] | None = None) -> None:
-    records = {name: np.asarray(arr, dtype=np.float64) for name, arr in params.items()}
+    arrays = {name: np.asarray(arr, dtype="<f8", order="C") for name, arr in params.items()}
     for key, value in (meta or {}).items():
-        records[f"meta/{key}"] = np.asarray([float(value)])
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<H", VERSION))
-        for name in sorted(records):
-            arr = records[name]
-            write_name(f, name)
-            write_array(f, arr.shape, arr.astype("<f8").tobytes(order="C"))
+        arrays[f"meta/{key}"] = np.asarray([float(value)], dtype="<f8")
+    write_records(path, MAGIC, VERSION,
+                  [(name, None, arrays[name].shape, arrays[name]) for name in sorted(arrays)])
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, float]]:
-    """Read one TCKP file; truncated or corrupt content raises CheckpointError."""
+    """Read one TCKP file; truncated or corrupt content, and any value that
+    is not finite, raise CheckpointError."""
     raw = Path(path).read_bytes()
     params: dict[str, np.ndarray] = {}
     meta: dict[str, float] = {}
     try:
-        check_header(raw, MAGIC, VERSION)
-        pos = 6
-        while pos < len(raw):
-            name, pos = read_name(raw, pos)
-            dims, payload, pos = read_array(raw, pos, 8)
+        for name, _, dims, payload in read_records(raw, MAGIC, VERSION, False):
             arr = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
+            if not np.isfinite(arr).all():
+                raise ValueError(f"record {name!r} holds a value that is not finite")
             if name.startswith("meta/"):
                 meta[name[len("meta/"):]] = float(arr.reshape(-1)[0])
             else:

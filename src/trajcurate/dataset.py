@@ -5,24 +5,22 @@ one arm through approach / grasp / transport / release phases with seeded
 jitter, and every collected episode is verified against the task-success
 oracle before it is stored.
 
-Episodes persist as one binary file each (magic "NTRJ") plus a JSON manifest
-written last, so a dataset directory is either complete or visibly partial.
-All numeric payloads are little-endian with explicit dims and dtype codes,
-making the format bit-reproducible and language-neutral.
+Episodes persist as one NTRJ file each, in the record layout of `records`,
+plus a JSON manifest written last, so a dataset directory is either complete
+or visibly partial.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import sim
+from . import records, sim
 from .seeding import derive_seed, rng_for
 from .sim import (
     A_MAX,
@@ -71,10 +69,13 @@ class Episode:
     def __post_init__(self):
         self.frames = np.ascontiguousarray(self.frames, dtype=np.uint8)
         self.states = np.ascontiguousarray(self.states, dtype=np.float64)
-        self.actions = np.ascontiguousarray(self.actions, dtype=np.float64).reshape(-1, 6)
+        self.actions = np.ascontiguousarray(self.actions, dtype=np.float64)
         t = len(self.frames)
-        if len(self.states) != t or len(self.actions) != t - 1:
-            raise ValueError("need len(states) == len(frames) == len(actions)+1")
+        if (self.frames.ndim != 4 or self.frames.shape[-1] != 3
+                or self.states.shape != (t, 6) or self.actions.shape != (t - 1, 6)):
+            raise ValueError(f"need frames (T, H, W, 3), states (T, 6) and actions "
+                             f"(T-1, 6), got {self.frames.shape}, {self.states.shape} "
+                             f"and {self.actions.shape}")
         if self.embodiment not in (EMBODIMENT_REAL, EMBODIMENT_NEURAL):
             raise ValueError(f"unknown embodiment {self.embodiment!r}")
         if self.embodiment == EMBODIMENT_NEURAL and np.any(self.states != 0.0):
@@ -137,7 +138,6 @@ class _Controller:
 
     def __init__(self, scene: SceneSpec, arm: int, rng: np.random.Generator,
                  speed: float):
-        self.scene = scene
         self.arm = arm
         self.rng = rng
         self.speed = speed
@@ -278,125 +278,43 @@ def collect_demos(n: int, seed: int = 0) -> list[Episode]:
 
 
 # -- binary serialization -------------------------------------------------------------
-#
-# NTRJ episodes and TCKP checkpoints share one record layout: magic (4 bytes),
-# version u16, then records to EOF of name length u32, UTF-8 name, rank u32,
-# dims u64[rank] and the row-major payload. NTRJ adds a kind byte between the
-# name and the rank; checkpoints have none. All integers are little-endian.
 
-_DTYPE_U8, _DTYPE_F64, _DTYPE_JSON = 0, 1, 3
-_ITEM_SIZE = {_DTYPE_U8: 1, _DTYPE_F64: 8, _DTYPE_JSON: 1}
-_NP_DTYPE = {_DTYPE_U8: np.uint8, _DTYPE_F64: "<f8"}
-
-# Errors that parsing malformed bytes can raise: struct reads past the end,
-# unknown section kinds or missing keys, bad headers and undecodable text or
-# JSON (all ValueErrors), impossible reshapes, fields of the wrong type, and
-# JSON infinities cast to int.
-CORRUPT_ERRORS = (struct.error, LookupError, ValueError, TypeError, OverflowError)
-
-
-def write_name(f, name: str) -> None:
-    encoded = name.encode()
-    f.write(struct.pack("<I", len(encoded)))
-    f.write(encoded)
-
-
-def write_array(f, dims: tuple[int, ...], payload: bytes) -> None:
-    f.write(struct.pack(f"<I{len(dims)}Q", len(dims), *dims))
-    f.write(payload)
-
-
-def check_header(raw: bytes, magic: bytes, version: int) -> None:
-    if raw[:4] != magic:
-        raise ValueError(f"bad magic {raw[:4]!r}")
-    if len(raw) < 6:
-        raise ValueError("truncated before the version")
-    (found,) = struct.unpack_from("<H", raw, 4)
-    if found != version:
-        raise ValueError(f"unsupported version {found}")
-
-
-def read_name(raw: bytes, pos: int) -> tuple[str, int]:
-    """The record name at `pos`, and the position after it."""
-    (name_len,) = struct.unpack_from("<I", raw, pos)
-    pos += 4
-    if len(raw) - pos < name_len:
-        raise struct.error("short name")
-    return raw[pos:pos + name_len].decode(), pos + name_len
-
-
-def read_array(raw: bytes, pos: int, item_size: int) -> tuple[tuple[int, ...], bytes, int]:
-    """Dims and payload of the array at `pos`, and the position after it."""
-    (rank,) = struct.unpack_from("<I", raw, pos)
-    pos += 4
-    if 8 * rank > len(raw) - pos:
-        raise struct.error("short dims")
-    dims = struct.unpack_from(f"<{rank}Q", raw, pos)
-    pos += 8 * rank
-    remaining = len(raw) - pos
-    # clamped as it grows, so corrupt dims cannot overflow or build a
-    # huge integer; the clamp never changes whether it fits
-    nbytes = item_size
-    for d in dims:
-        nbytes = min(nbytes * d, remaining + 1)
-    if nbytes > remaining:
-        raise struct.error(f"dims {dims} need more than the {remaining} bytes left")
-    return dims, raw[pos:pos + nbytes], pos + nbytes
+_NP_DTYPE = {records.U8: np.uint8, records.F64: "<f8"}
 
 
 def _canon_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _write_section(f, name: str, kind: int, payload: bytes, dims: tuple[int, ...]):
-    write_name(f, name)
-    f.write(struct.pack("<B", kind))
-    write_array(f, dims, payload)
+def _json_record(name: str, obj) -> tuple:
+    payload = _canon_json(obj)
+    return name, records.JSON, (len(payload),), payload
 
 
 def write_episode(episode: Episode, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     header = {"episode_id": int(episode.episode_id), "embodiment": episode.embodiment}
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<H", VERSION))
-        hdr = _canon_json(header)
-        _write_section(f, "header", _DTYPE_JSON, hdr, (len(hdr),))
-        scn = _canon_json(episode.scene.to_dict())
-        _write_section(f, "scene", _DTYPE_JSON, scn, (len(scn),))
-        ins = _canon_json(episode.instruction.to_dict())
-        _write_section(f, "instruction", _DTYPE_JSON, ins, (len(ins),))
-        _write_section(f, "states", _DTYPE_F64,
-                       episode.states.astype("<f8").tobytes(), episode.states.shape)
-        _write_section(f, "actions", _DTYPE_F64,
-                       episode.actions.astype("<f8").tobytes(), episode.actions.shape)
-        _write_section(f, "frames", _DTYPE_U8,
-                       episode.frames.tobytes(), episode.frames.shape)
-        prov = _canon_json(episode.provenance)
-        _write_section(f, "provenance", _DTYPE_JSON, prov, (len(prov),))
-
-
-def _read_sections(raw: bytes) -> dict[str, object]:
-    pos = 6
-    sections: dict[str, object] = {}
-    while pos < len(raw):
-        name, pos = read_name(raw, pos)
-        (kind,) = struct.unpack_from("<B", raw, pos)
-        dims, payload, pos = read_array(raw, pos + 1, _ITEM_SIZE[kind])
-        if kind == _DTYPE_JSON:
-            sections[name] = json.loads(payload.decode())
-        else:
-            sections[name] = np.frombuffer(payload, dtype=_NP_DTYPE[kind]).reshape(dims)
-    return sections
+    states = np.ascontiguousarray(episode.states, dtype="<f8")
+    actions = np.ascontiguousarray(episode.actions, dtype="<f8")
+    frames = np.ascontiguousarray(episode.frames, dtype=np.uint8)
+    records.write_records(path, MAGIC, VERSION, [
+        _json_record("header", header),
+        _json_record("scene", episode.scene.to_dict()),
+        _json_record("instruction", episode.instruction.to_dict()),
+        ("states", records.F64, states.shape, states),
+        ("actions", records.F64, actions.shape, actions),
+        ("frames", records.U8, frames.shape, frames),
+        _json_record("provenance", episode.provenance),
+    ])
 
 
 def read_episode(path) -> Episode:
     """Read one NTRJ file; truncated or corrupt content raises DatasetError."""
     raw = Path(path).read_bytes()
     try:
-        check_header(raw, MAGIC, VERSION)
-        sections = _read_sections(raw)
+        sections = {
+            name: (json.loads(payload.decode()) if kind == records.JSON
+                   else np.frombuffer(payload, dtype=_NP_DTYPE[kind]).reshape(dims))
+            for name, kind, dims, payload in records.read_records(raw, MAGIC, VERSION, True)}
         header = sections["header"]
         return Episode(
             episode_id=int(header["episode_id"]),
@@ -408,7 +326,7 @@ def read_episode(path) -> Episode:
             actions=np.array(sections["actions"], dtype=np.float64),
             provenance=sections["provenance"],
         )
-    except CORRUPT_ERRORS as exc:
+    except records.CORRUPT_ERRORS as exc:
         raise DatasetError(f"{path}: truncated or corrupt ({exc!r})") from exc
 
 
@@ -453,7 +371,7 @@ def load_dataset(path) -> list[Episode]:
         ids = manifest["episode_ids"]
         count = manifest["count"]
         ep_paths = [path / episode_filename(eid) for eid in ids]
-    except CORRUPT_ERRORS as exc:
+    except records.CORRUPT_ERRORS as exc:
         raise DatasetError(f"{path}: corrupt manifest.json ({exc!r})") from exc
     if count != len(ids):
         raise DatasetError(f"{path}: manifest count {count} != "

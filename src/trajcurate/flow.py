@@ -62,9 +62,8 @@ class VelocityModel(Protocol):
                  conditioning: dict[str, np.ndarray]) -> Tensor: ...
 
 
-def euler_sample(velocity_fn: Callable[[np.ndarray, np.ndarray, dict], np.ndarray],
-                 conditioning: dict, shape: tuple[int, ...], steps: int,
-                 seed: int) -> np.ndarray:
+def euler_sample(velocity_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 shape: tuple[int, ...], steps: int, seed: int) -> np.ndarray:
     """Integrate from seeded noise at t=1 down to t=0 in `steps` Euler steps."""
     if steps < 1:
         raise ValueError("need at least one integration step")
@@ -73,7 +72,7 @@ def euler_sample(velocity_fn: Callable[[np.ndarray, np.ndarray, dict], np.ndarra
     dt = 1.0 / steps
     for k in range(steps):
         t = 1.0 - k * dt
-        v = np.asarray(velocity_fn(x, np.full(shape[:1], t), conditioning))
+        v = np.asarray(velocity_fn(x, np.full(shape[:1], t)))
         x = x - dt * v
     return x
 
@@ -87,11 +86,11 @@ class TrainConfig:
 
 
 def train_fm(model: VelocityModel,
-             batch_fn: Callable[[int, np.random.Generator], tuple[np.ndarray, dict]],
+             batch_fn: Callable[[np.random.Generator], tuple[np.ndarray, dict]],
              config: TrainConfig) -> list[float]:
     """Generic flow-matching loop: AdamW + schedule over seeded batches.
 
-    batch_fn(step, rng) returns (clean, conditioning); noise and time are
+    batch_fn(rng) returns (clean, conditioning); noise and time are
     drawn here so all models share the same batch construction. Returns the
     per-step loss log. Zero steps leave the model untouched.
     """
@@ -99,7 +98,7 @@ def train_fm(model: VelocityModel,
     losses: list[float] = []
     for step_idx in range(config.steps):
         rng = rng_for(config.seed, "fm-step", step_idx)
-        clean, conditioning = batch_fn(step_idx, rng)
+        clean, conditioning = batch_fn(rng)
         clean = np.asarray(clean, dtype=np.float64)
         noise = rng.standard_normal(clean.shape)
         t = rng.uniform(0.0, 1.0, size=len(clean))

@@ -153,7 +153,7 @@ def train_idm(episodes: list[Episode], config: flow.TrainConfig,
     model.norm_mean = rows.mean(axis=0)
     model.norm_std = np.maximum(rows.std(axis=0), 1e-3)
 
-    def batch_fn(step: int, rng: np.random.Generator):
+    def batch_fn(rng: np.random.Generator):
         picks = rng.integers(0, len(index), size=config.batch_size)
         frames_a, frames_b, chunks = [], [], []
         for p in picks:
@@ -192,14 +192,14 @@ def _predict_batch(model: IdmModel, frames_a: np.ndarray, frames_b: np.ndarray,
     with no_grad():
         cond = {"tokens": model._frame_tokens(frames_a, frames_b)}
 
-    def velocity_fn(x_t, t, c):
+    def velocity_fn(x_t, t):
         with no_grad():
-            return model.velocity(x_t, t, c).readout()
+            return model.velocity(x_t, t, cond).readout()
 
     shape = (len(frames_a), model.hyper.horizon, ACTION_DIM)
     n_runs = model.hyper.sample_avg
     with ThreadPoolExecutor(min(n_runs, len(os.sched_getaffinity(0)))) as pool:
-        futures = [pool.submit(flow.euler_sample, velocity_fn, cond, shape,
+        futures = [pool.submit(flow.euler_sample, velocity_fn, shape,
                                model.hyper.euler_steps, derive_seed(seed, "avg", j))
                    for j in range(n_runs)]
         runs = [f.result() for f in futures]

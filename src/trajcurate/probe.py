@@ -78,11 +78,10 @@ class PairSet:
     sim: list[np.ndarray]
 
 
-def build_pairs(episodes: list[Episode], k_shift: int = 1, k_cross: int = 1,
-                seed: int = 0) -> PairSet:
-    """Positives at every window; per positive, k_shift time-shifted and
-    k_cross cross-episode negatives (uniform over the valid candidates)."""
-    if len(episodes) < 2 and k_cross > 0:
+def build_pairs(episodes: list[Episode], seed: int = 0) -> PairSet:
+    """Positives at every window; per positive, one time-shifted and one
+    cross-episode negative (uniform over the valid candidates)."""
+    if len(episodes) < 2:
         raise ValueError("cross-episode negatives need at least two episodes")
     real = [clip_windows(ep.frames) for ep in episodes]
     replay = [_replay_windows(ep.scene, ep.actions, ep.frames.shape[1]) for ep in episodes]
@@ -93,12 +92,12 @@ def build_pairs(episodes: list[Episode], k_shift: int = 1, k_cross: int = 1,
         for t in range(len(windows)):
             pairs.append(ClipPair(i, t, i, t, "positive"))
             shift_candidates = [s for s in range(len(windows)) if s != t]
-            for _ in range(k_shift if shift_candidates else 0):
+            if shift_candidates:
                 t2 = int(rng.choice(shift_candidates))
                 pairs.append(ClipPair(i, t, i, t2, "neg_shift"))
             cross_candidates = [j for j in range(len(episodes))
                                 if j != i and t < len(real[j])]
-            for _ in range(k_cross if cross_candidates else 0):
+            if cross_candidates:
                 j = int(rng.choice(cross_candidates))
                 pairs.append(ClipPair(i, t, j, t, "neg_cross"))
     return PairSet(pairs, real, replay)

@@ -372,16 +372,14 @@ def _object_mask(gx, gy, obj: SceneObject, position):
 
 
 def _segment_mask(gx, gy, p0, p1, width):
-    """Pixels within `width` of the segment p0-p1, whose ends are float
-    tuples; the in-place steps compute the same values, in the same order, as
-    dx = gx - (x0 + t * vx) and dy = gy - (y0 + t * vy) squared and summed."""
+    """Pixels within `width` of the segment p0-p1, whose ends are distinct
+    float tuples (the ends of an arm link); the in-place steps compute the
+    same values, in the same order, as dx = gx - (x0 + t * vx) and
+    dy = gy - (y0 + t * vy) squared and summed."""
     (x0, y0), (x1, y1) = p0, p1
     vx, vy = x1 - x0, y1 - y0
-    seg2 = vx * vx + vy * vy
-    if seg2 < 1e-18:
-        return (gx - x0) ** 2 + (gy - y0) ** 2 <= width * width
     t = (gx - x0) * vx + (gy - y0) * vy
-    t /= seg2
+    t /= vx * vx + vy * vy
     t.clip(0.0, 1.0, out=t)
     dx = t * vx
     dx += x0

@@ -138,22 +138,21 @@ def edit_initial_scene(scene: SceneSpec, axes: Iterable[str],
 
 
 def apply_palette_map(scene: SceneSpec, palette_map: dict[int, int],
-                      new_gain: float | None = None) -> SceneSpec:
+                      new_gain: float) -> SceneSpec:
     if sim.ROBOT_COLOR_INDEX in palette_map:
         raise ValueError("palette map must not remap the reserved robot color")
     if sim.ROBOT_COLOR_INDEX in palette_map.values():
         raise ValueError("palette map must not introduce the reserved robot color")
     remap = lambda c: palette_map.get(c, c)
     objects = tuple(replace(o, color=remap(o.color)) for o in scene.objects)
-    gain = scene.lighting_gain if new_gain is None else float(new_gain)
     return replace(scene, table_color=remap(scene.table_color),
                    background_color=remap(scene.background_color),
-                   lighting_gain=gain, objects=objects)
+                   lighting_gain=float(new_gain), objects=objects)
 
 
 def remap_frames(frames: np.ndarray, scene: SceneSpec,
                  palette_map: dict[int, int],
-                 new_gain: float | None = None) -> tuple[np.ndarray, SceneSpec]:
+                 new_gain: float) -> tuple[np.ndarray, SceneSpec]:
     """Exact per-pixel recolor of non-robot pixels; returns (frames, new scene)."""
     new_scene = apply_palette_map(scene, palette_map, new_gain)
     old_colors = sim.scene_color_table(scene)
@@ -191,7 +190,7 @@ def remap_frames(frames: np.ndarray, scene: SceneSpec,
 
 
 def restyle_video(episode: Episode, palette_map: dict[int, int],
-                  new_gain: float | None = None) -> Episode:
+                  new_gain: float) -> Episode:
     """Recolor a whole episode; actions, states and instruction are reused as-is."""
     frames, new_scene = remap_frames(episode.frames, episode.scene,
                                      palette_map, new_gain)

@@ -1,7 +1,7 @@
 """Minimal reverse-mode autodiff over dense float64 numpy arrays.
 
 The op set is deliberately small: elementwise arithmetic, matmul, reductions,
-reshape/transpose/concat/slice and indexing, exp/log/sqrt, sigmoid, GELU,
+reshape/transpose/concat/slice and indexing, log, sigmoid, GELU,
 softmax, log-softmax, and scaled dot-product multi-head attention. Row lookup
 is plain advanced indexing (`table[idx]`), whose gradient scatter-adds.
 Everything trainable in this package is a patch-token transformer built from
@@ -193,9 +193,6 @@ class Tensor:
         other = self._coerce(other)
         return self * (other ** -1.0)
 
-    def __rtruediv__(self, other):
-        return self._coerce(other) * (self ** -1.0)
-
     def __pow__(self, exponent: float):
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
@@ -225,14 +222,8 @@ class Tensor:
             self._accumulate(np.broadcast_to(gg, self.shape).copy())
         return _op(self.data.sum(axis=axis, keepdims=keepdims), (self,), backward)
 
-    def mean(self, axis=None, keepdims: bool = False):
-        if axis is None:
-            n = self.size
-        else:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            n = 1
-            for a in axes:
-                n *= self.shape[a]
+    def mean(self, axis: int | None = None, keepdims: bool = False):
+        n = self.size if axis is None else self.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     # -- shape manipulation ---------------------------------------------------
@@ -272,20 +263,10 @@ class Tensor:
         return _op(self.data[key], (self,), backward)
 
     # -- elementwise nonlinearities -------------------------------------------
-    def exp(self):
-        y = np.exp(self.data)
-
-        def backward(g):
-            self._accumulate(g * y)
-        return _op(y, (self,), backward)
-
     def log(self):
         def backward(g):
             self._accumulate(g / self.data)
         return _op(np.log(self.data), (self,), backward)
-
-    def sqrt(self):
-        return self ** 0.5
 
     def sigmoid(self):
         # numerically stable two-sided form

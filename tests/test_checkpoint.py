@@ -121,8 +121,10 @@ def test_model_load_rejects_meta_out_of_range(tmp_path, cls, hyper, field, value
 
 
 @pytest.mark.parametrize("cls, hyper", MODELS)
-@pytest.mark.parametrize("edit", ["drop", "reshape", "extra"])
+@pytest.mark.parametrize("edit", ["drop", "reshape", "extra", "inf"])
 def test_model_load_rejects_arrays_that_disagree_with_meta(tmp_path, cls, hyper, edit):
+    """Also a parameter that is not finite, which would first fail at a
+    forward pass."""
     path = tmp_path / "model.tckp"
     cls(hyper, seed=1).save(path)
     name = "pos_embed" if cls is not ProbeModel else "query"
@@ -132,24 +134,29 @@ def test_model_load_rejects_arrays_that_disagree_with_meta(tmp_path, cls, hyper,
             del arrays[name]
         elif edit == "reshape":
             arrays[name] = arrays[name][:-1]
-        else:
+        elif edit == "extra":
             arrays["trunk.blk9.ln1.g"] = np.ones(hyper.dim)
+        else:
+            arrays[name].flat[0] = np.inf
 
     rewrite(path, edit_arrays)
     with pytest.raises(CheckpointError):
         cls.load(path)
 
 
-@pytest.mark.parametrize("edit", ["drop", "reshape"])
+@pytest.mark.parametrize("edit", ["drop", "reshape", "nan", "inf"])
 def test_idm_load_rejects_bad_action_normalization(tmp_path, edit):
+    """A NaN in the normalization would give NaN labels without any error."""
     path = tmp_path / "idm.tckp"
     IdmModel(IdmHyper(dim=8, heads=2, blocks=1), seed=1).save(path)
 
     def edit_arrays(arrays):
         if edit == "drop":
             del arrays["norm/std"]
-        else:
+        elif edit == "reshape":
             arrays["norm/std"] = np.ones(1)
+        else:
+            arrays["norm/mean"][0] = float(edit)
 
     rewrite(path, edit_arrays)
     with pytest.raises(CheckpointError):

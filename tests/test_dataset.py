@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajcurate import dataset, sim
+from trajcurate import dataset, records, sim
 from trajcurate.dataset import Episode
 from trajcurate.sim import Instruction, SceneObject, SceneSpec
 
@@ -95,14 +95,24 @@ def test_collect_demos_deterministic():
 # -- episode invariants ---------------------------------------------------------------
 
 
+# (frames, states, actions) shapes an Episode must reject
+MISSHAPEN = [
+    ((5, 8, 8, 3), (4, 6), (4, 6)),     # one state short
+    ((3, 8, 8, 3), (3, 6), (4, 3)),     # 12 action values, as many as (2, 6)
+    ((3, 8, 8, 3), (3, 2), (2, 6)),     # states too narrow
+    ((3, 8, 8, 3), (3, 6), (2, 6, 1)),  # actions of rank 3
+    ((3, 8, 8), (3, 6), (2, 6)),        # frames without channels
+    ((3, 8, 8, 4), (3, 6), (2, 6)),     # frames with four channels
+]
+
+
 def test_episode_length_invariant():
-    with pytest.raises(ValueError):
-        make_episode(t=5).__class__(
-            episode_id=0, embodiment="real", scene=tiny_scene(),
-            instruction=Instruction("pick_place", "circle", 1, "plate", "left"),
-            frames=np.zeros((5, 8, 8, 3), dtype=np.uint8),
-            states=np.zeros((4, 6)), actions=np.zeros((4, 6)),
-        )
+    for frames, states, actions in MISSHAPEN:
+        with pytest.raises(ValueError):
+            Episode(episode_id=0, embodiment="real", scene=tiny_scene(),
+                    instruction=Instruction("pick_place", "circle", 1, "plate", "left"),
+                    frames=np.zeros(frames, dtype=np.uint8),
+                    states=np.zeros(states), actions=np.zeros(actions))
 
 
 def test_neural_episode_requires_zero_states():
@@ -162,6 +172,19 @@ def test_corrupt_episode_raises_only_dataset_error(tmp_path_factory, data):
         dataset.read_episode(path)
     except dataset.DatasetError:
         pass
+
+
+def test_misshapen_actions_record_detected(tmp_path):
+    """Actions dims (4, 3) at T = 3 hold as many values as (2, 6); the reader
+    rejects them instead of reshaping."""
+    path = tmp_path / "ep.ntrj"
+    dataset.write_episode(make_episode(t=3), path)
+    recs = records.read_records(path.read_bytes(), dataset.MAGIC, dataset.VERSION, True)
+    records.write_records(path, dataset.MAGIC, dataset.VERSION, [
+        (name, kind, (4, 3) if name == "actions" else dims, payload)
+        for name, kind, dims, payload in recs])
+    with pytest.raises(dataset.DatasetError):
+        dataset.read_episode(path)
 
 
 def test_bad_magic_detected(tmp_path):

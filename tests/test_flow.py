@@ -79,7 +79,7 @@ def test_fm_loss_gradient_matches_finite_differences():
 
 
 def constant_oracle(x, eps_true, data):
-    return lambda x_t, t, cond: eps_true - data
+    return lambda x_t, t: eps_true - data
 
 
 def test_euler_constant_field_recovers_data():
@@ -87,7 +87,7 @@ def test_euler_constant_field_recovers_data():
     data = rng.normal(size=(2, 4))
     noise_rng = np.random.default_rng(9)
     eps_true = noise_rng.standard_normal((2, 4))
-    out = euler_sample(constant_oracle(None, eps_true, data), {}, (2, 4),
+    out = euler_sample(constant_oracle(None, eps_true, data), (2, 4),
                        steps=1, seed=9)
     assert np.allclose(out, data, atol=1e-12)
 
@@ -97,18 +97,18 @@ def test_euler_step_count_invariant_for_constant_field():
     data = rng.normal(size=(3, 2))
     eps_true = np.random.default_rng(11).standard_normal((3, 2))
     fn = constant_oracle(None, eps_true, data)
-    a = euler_sample(fn, {}, (3, 2), steps=1, seed=11)
-    b = euler_sample(fn, {}, (3, 2), steps=10, seed=11)
+    a = euler_sample(fn, (3, 2), steps=1, seed=11)
+    b = euler_sample(fn, (3, 2), steps=10, seed=11)
     assert np.allclose(a, b, atol=1e-10)
 
 
 def test_euler_deterministic():
-    fn = lambda x, t, c: np.zeros_like(x)
-    a = euler_sample(fn, {}, (2, 2), steps=4, seed=3)
-    b = euler_sample(fn, {}, (2, 2), steps=4, seed=3)
+    fn = lambda x, t: np.zeros_like(x)
+    a = euler_sample(fn, (2, 2), steps=4, seed=3)
+    b = euler_sample(fn, (2, 2), steps=4, seed=3)
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
-        euler_sample(fn, {}, (2, 2), steps=0, seed=3)
+        euler_sample(fn, (2, 2), steps=0, seed=3)
 
 
 class ScalarModel:
@@ -127,7 +127,7 @@ def test_train_fm_converges_on_toy_problem():
     cfg = TrainConfig(steps=100, batch_size=8,
                       schedule=LrSchedule(base_lr=0.05, total_steps=100,
                                           stable_steps=100), seed=0)
-    losses = train_fm(model, lambda s, r: (data, {}), cfg)
+    losses = train_fm(model, lambda r: (data, {}), cfg)
     assert len(losses) == 100
     # convex problem: the loss trend over the first 100 steps is decreasing
     assert losses[-1] < losses[0]
@@ -141,7 +141,7 @@ def test_train_fm_zero_steps_is_noop():
     cfg = TrainConfig(steps=0, batch_size=4,
                       schedule=LrSchedule(base_lr=0.05, total_steps=1,
                                           stable_steps=1), seed=0)
-    losses = train_fm(model, lambda s, r: (np.zeros((4, 1)), {}), cfg)
+    losses = train_fm(model, lambda r: (np.zeros((4, 1)), {}), cfg)
     assert losses == []
     assert np.array_equal(model.params["w"].data, before)
 
@@ -152,7 +152,7 @@ def test_train_fm_deterministic():
         cfg = TrainConfig(steps=30, batch_size=4,
                           schedule=LrSchedule(base_lr=0.05, total_steps=30,
                                               stable_steps=30), seed=7)
-        train_fm(model, lambda s, r: (np.full((4, 1), 1.5), {}), cfg)
+        train_fm(model, lambda r: (np.full((4, 1), 1.5), {}), cfg)
         return model.params["w"].data.copy()
 
     assert np.array_equal(run(), run())

@@ -46,12 +46,12 @@ def reference_label_video(video, model):
     ends = [min(s + h, len(video) - 1) for s in starts]
     cond = {"frame_a": video[starts], "frame_b": video[ends]}
 
-    def velocity_fn(x_t, t, c):
-        return model.velocity(x_t, t, c).data
+    def velocity_fn(x_t, t):
+        return model.velocity(x_t, t, cond).data
 
     base = derive_seed(idm.LABEL_SEED, "label-windows")
     shape = (len(starts), h, idm.ACTION_DIM)
-    runs = [flow.euler_sample(velocity_fn, cond, shape, model.hyper.euler_steps,
+    runs = [flow.euler_sample(velocity_fn, shape, model.hyper.euler_steps,
                               derive_seed(base, "avg", j))
             for j in range(model.hyper.sample_avg)]
     chunks = model.denormalize(np.mean(runs, axis=0))

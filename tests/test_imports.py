@@ -60,17 +60,16 @@ def _is_stub(func: ast.FunctionDef) -> bool:
 
 def unread_parameters(tree: ast.Module) -> list[tuple[str, str, int]]:
     """(function, parameter, line) of each parameter a function never reads,
-    `self` and `cls` aside. Skipped: `...`-bodied stubs such as Protocol
-    methods, and functions nested in another function, whose signature their
-    caller fixes."""
+    `self` and `cls` aside, nested functions included. Skipped: `...`-bodied
+    stubs such as Protocol methods."""
     found = []
 
-    def visit(node, nested: bool):
+    def visit(node):
         for child in ast.iter_child_nodes(node):
             if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, nested)
+                visit(child)
                 continue
-            if not nested and not _is_stub(child):
+            if not _is_stub(child):
                 a = child.args
                 params = a.posonlyargs + a.args + a.kwonlyargs + [
                     p for p in (a.vararg, a.kwarg) if p is not None]
@@ -78,9 +77,9 @@ def unread_parameters(tree: ast.Module) -> list[tuple[str, str, int]]:
                          if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
                 found.extend((child.name, p.arg, child.lineno) for p in params
                              if p.arg not in reads and p.arg not in ("self", "cls"))
-            visit(child, True)
+            visit(child)
 
-    visit(tree, False)
+    visit(tree)
     return found
 
 
@@ -90,7 +89,7 @@ def test_checker_flags_an_unread_parameter():
                      "    def n(self, y):\n        def inner(z):\n            return 0\n"
                      "        return inner\n")
     assert unread_parameters(tree) == [("f", "b", 1), ("f", "d", 1), ("f", "e", 1),
-                                       ("n", "y", 5)]
+                                       ("n", "y", 5), ("inner", "z", 6)]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

@@ -192,7 +192,7 @@ def test_nan_mid_trunk_raises_in_idm_training():
     model = poison(idm.IdmModel(NAN_IDM, seed=1), MID_TRUNK)
     frames = random_frames(4, seed=2)
 
-    def batch_fn(step, rng):
+    def batch_fn(rng):
         chunks = rng.normal(size=(2, NAN_IDM.horizon, idm.ACTION_DIM))
         return chunks, {"frame_a": frames[:2], "frame_b": frames[2:]}
 

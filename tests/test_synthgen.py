@@ -110,14 +110,14 @@ def demo_episode(seed=0):
 
 def test_restyle_identity_map_is_noop():
     ep = demo_episode()
-    out = synthgen.restyle_video(ep, {})
+    out = synthgen.restyle_video(ep, {}, ep.scene.lighting_gain)
     assert np.array_equal(out.frames, ep.frames)
 
 
 def test_restyle_reuses_actions_and_instruction():
     ep = demo_episode()
     pal = synthgen.random_palette_map(ep.scene, np.random.default_rng(3))
-    out = synthgen.restyle_video(ep, pal)
+    out = synthgen.restyle_video(ep, pal, ep.scene.lighting_gain)
     assert np.array_equal(out.actions, ep.actions)
     assert np.array_equal(out.states, ep.states)
     assert out.instruction == ep.instruction
@@ -126,7 +126,7 @@ def test_restyle_reuses_actions_and_instruction():
 def test_restyle_keeps_robot_pixels():
     ep = demo_episode()
     pal = synthgen.random_palette_map(ep.scene, np.random.default_rng(4))
-    out = synthgen.restyle_video(ep, pal)
+    out = synthgen.restyle_video(ep, pal, ep.scene.lighting_gain)
     robot = sim.PALETTE[sim.ROBOT_COLOR_INDEX]
     before = np.all(ep.frames == robot, axis=-1)
     after = np.all(out.frames == robot, axis=-1)
@@ -137,20 +137,20 @@ def test_restyle_keeps_robot_pixels():
 def test_restyle_rejects_robot_remap():
     ep = demo_episode()
     with pytest.raises(ValueError):
-        synthgen.restyle_video(ep, {sim.ROBOT_COLOR_INDEX: 3})
+        synthgen.restyle_video(ep, {sim.ROBOT_COLOR_INDEX: 3}, ep.scene.lighting_gain)
     with pytest.raises(ValueError):
-        synthgen.restyle_video(ep, {3: sim.ROBOT_COLOR_INDEX})
+        synthgen.restyle_video(ep, {3: sim.ROBOT_COLOR_INDEX}, ep.scene.lighting_gain)
 
 
 def test_restyled_actions_still_pass_oracle():
     ep = demo_episode(seed=6)
     pal = synthgen.random_palette_map(ep.scene, np.random.default_rng(5))
-    out = synthgen.restyle_video(ep, pal)
+    out = synthgen.restyle_video(ep, pal, ep.scene.lighting_gain)
     states = sim.rollout(out.scene, sim.initial_state(out.scene), out.actions)
     assert sim.task_success(out.scene, states, out.instruction)
 
 
-def reference_remap(frames, scene, palette_map, new_gain=None):
+def reference_remap(frames, scene, palette_map, new_gain):
     """Per-colour reference: a three-channel equality mask for each colour."""
     new_scene = synthgen.apply_palette_map(scene, palette_map, new_gain)
     old_colors = sim.scene_color_table(scene)
@@ -193,7 +193,7 @@ def test_remap_frames_matches_per_colour_reference(data, table, bg, gain,
         frames[rng.integers(t), rng.integers(16), rng.integers(16)] = rgb
     used = sorted({table, bg, *object_colors})
     palette_map = data.draw(st.dictionaries(st.sampled_from(used), _colors))
-    new_gain = data.draw(st.one_of(st.none(), st.just(gain), st.floats(0.5, 1.5)))
+    new_gain = data.draw(st.one_of(st.just(gain), st.floats(0.5, 1.5)))
     out, new_scene = synthgen.remap_frames(frames, scene, palette_map, new_gain)
     ref, ref_scene = reference_remap(frames, scene, palette_map, new_gain)
     assert out.dtype == np.uint8 and out.shape == frames.shape

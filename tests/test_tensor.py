@@ -46,7 +46,7 @@ def test_finite_diff_square():
 def test_finite_diff_abs_at_zero_is_zero():
     def loss(p):
         x = p["x"]
-        return (x * x).sqrt().sum()
+        return ((x * x) ** 0.5).sum()
 
     g = finite_diff_grad(loss, {"x": np.array([0.0])}, eps=1e-5)
     assert abs(g["x"][0]) < 1e-8
@@ -134,7 +134,7 @@ def test_nan_rejected():
 def test_op_result_with_nan_raises_while_building_a_graph():
     x = Tensor(np.array([-1.0, 2.0]), requires_grad=True)
     with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
-        x.sqrt()
+        x ** 0.5
 
 
 def test_no_grad_op_result_is_checked_at_readout():
@@ -143,7 +143,7 @@ def test_no_grad_op_result_is_checked_at_readout():
         with pytest.raises(FloatingPointError):
             Tensor(np.array([np.nan]))           # outside data: checked at once
         with np.errstate(invalid="ignore"):
-            out = x.sqrt()                       # an op: checked at readout
+            out = x ** 0.5                       # an op: checked at readout
         with pytest.raises(FloatingPointError):
             out.readout()
     assert (x * 2.0).readout().tolist() == [-2.0, 4.0]
@@ -202,7 +202,6 @@ def test_grad_mode_is_per_thread():
 FRESH_OPS = [pytest.param(op, id=name) for name, op in {
     "mul": lambda x: x * 2.0,
     "add": lambda x: x + x,
-    "exp": lambda x: x.exp(),
     "sigmoid": lambda x: x.sigmoid(),
     "gelu": lambda x: x.gelu(),
     "softmax": lambda x: x.softmax(axis=-1),
@@ -262,8 +261,8 @@ def test_spent_graph_is_freed_without_the_cycle_collector(op):
 
 
 @pytest.mark.parametrize("op", [
-    pytest.param(lambda c: c.exp(), id="exp"), pytest.param(lambda c: c.log(), id="log"),
-    pytest.param(lambda c: c * 1e308, id="mul"), pytest.param(lambda c: c.sqrt(), id="sqrt")])
+    pytest.param(lambda c: c.log(), id="log"), pytest.param(lambda c: c * 1e308, id="mul"),
+    pytest.param(lambda c: c ** 0.5, id="sqrt")])
 def test_non_finite_result_of_constants_raises_while_grad_is_enabled(op):
     c = Tensor(np.array([-1.0, 800.0]))
     with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
