@@ -5,13 +5,13 @@ the record layout of `records`, without kind bytes. Records are written in
 sorted name order so identical parameter sets produce byte-identical files.
 Scalar metadata (a model's hyper fields, flags such as the encoder's frozen
 marker) is stored as one-element tensors under the "meta/" prefix. Loading
-rejects any NaN or infinity, in a parameter or in the meta.
+rejects any NaN or infinity, in a parameter or in the meta. Models become
+files and come back through `save_model` and `load_model` alone.
 """
 
 from __future__ import annotations
 
-import contextlib
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import TypeVar
 
@@ -23,6 +23,7 @@ MAGIC = b"TCKP"
 VERSION = 1
 
 H = TypeVar("H")
+M = TypeVar("M")
 
 
 class CheckpointError(RuntimeError):
@@ -75,11 +76,23 @@ def hyper_from_meta(cls: type[H], meta: dict[str, float]) -> H:
     return cls(**values)
 
 
-@contextlib.contextmanager
-def arrays_must_match(path):
-    """Turn a model's rejection of a checkpoint's arrays (a missing, unknown
-    or misshapen one) into CheckpointError."""
+def save_model(path, model, arrays: dict[str, np.ndarray] | None = None,
+               meta: dict[str, float] | None = None) -> None:
+    """Write `model.store`'s parameters and `arrays`, and `model.hyper`'s
+    fields and `meta`, to one TCKP file."""
+    save_checkpoint(path, {**model.store.arrays(), **(arrays or {})},
+                    meta={**asdict(model.hyper), **(meta or {})})
+
+
+def load_model(cls: type[M], hyper_cls: type, path, extra: tuple[str, ...] = ()
+               ) -> tuple[M, dict[str, float], dict[str, np.ndarray]]:
+    """The model `save_model` wrote, its meta and the non-parameter arrays named
+    in `extra`; a missing, unknown or misshapen array raises CheckpointError."""
+    arrays, meta = load_checkpoint(path)
+    model = cls(hyper_from_meta(hyper_cls, meta))
     try:
-        yield
+        extras = {name: arrays.pop(name) for name in extra}
+        model.store.load(arrays)
     except (KeyError, ValueError) as exc:
         raise CheckpointError(f"{path}: arrays do not match the meta ({exc})") from exc
+    return model, meta, extras

@@ -311,8 +311,9 @@ def read_episode(path) -> Episode:
     """Read one NTRJ file; truncated or corrupt content raises DatasetError."""
     raw = Path(path).read_bytes()
     try:
+        # JSON records are UTF-8; json.loads on bytes would also take UTF-16/32
         sections = {
-            name: (json.loads(payload.decode()) if kind == records.JSON
+            name: (json.loads(str(payload, "utf-8")) if kind == records.JSON
                    else np.frombuffer(payload, dtype=_NP_DTYPE[kind]).reshape(dims))
             for name, kind, dims, payload in records.read_records(raw, MAGIC, VERSION, True)}
         header = sections["header"]
@@ -376,9 +377,14 @@ def load_dataset(path) -> list[Episode]:
     if count != len(ids):
         raise DatasetError(f"{path}: manifest count {count} != "
                            f"{len(ids)} listed episodes")
+    if len(set(ids)) < len(ids):
+        raise DatasetError(f"{path}: manifest lists an episode id twice")
     episodes = []
     for eid, ep_path in zip(ids, ep_paths):
         if not ep_path.exists():
             raise DatasetError(f"{path}: manifest lists missing episode {eid}")
-        episodes.append(read_episode(ep_path))
+        episode = read_episode(ep_path)
+        if episode.episode_id != eid:
+            raise DatasetError(f"{path}: {ep_path.name} holds episode {episode.episode_id}")
+        episodes.append(episode)
     return episodes

@@ -16,12 +16,11 @@ whose meta lacks it or disagrees with it fails.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import (CheckpointError, arrays_must_match, hyper_from_meta,
-                         load_checkpoint, save_checkpoint)
+from .checkpoint import CheckpointError, load_model, save_model
 from .dataset import Episode
 from .nn import Linear, ParamStore, Trunk, patchify
 from .optim import AdamW, LrSchedule, train_step, wsd_lr
@@ -107,20 +106,16 @@ class EncoderModel:
             return self.encode(clips).readout()
 
     def save(self, path) -> None:
-        save_checkpoint(path, self.store.arrays(),
-                        meta={**asdict(self.hyper), "clip_len": CLIP_LEN,
-                              "stride": STRIDE, "frozen": float(self.frozen)})
+        save_model(path, self, meta={"clip_len": CLIP_LEN, "stride": STRIDE,
+                                     "frozen": float(self.frozen)})
 
     @classmethod
     def load(cls, path) -> "EncoderModel":
-        arrays, meta = load_checkpoint(path)
+        model, meta, _ = load_model(cls, EncoderHyper, path)
         for name, value in (("clip_len", CLIP_LEN), ("stride", STRIDE)):
             if meta.get(name) != value:
                 raise CheckpointError(f"{path}: meta field {name!r} is "
                                       f"{meta.get(name)!r}, not {value}")
-        model = cls(hyper_from_meta(EncoderHyper, meta))
-        with arrays_must_match(path):
-            model.store.load(arrays)
         model.frozen = bool(meta.get("frozen", 0.0))
         return model
 

@@ -9,7 +9,7 @@ back to t=0. Time is drawn uniformly per item; all randomness is seeded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Any, Callable, Protocol
 
 import numpy as np
 
@@ -58,8 +58,7 @@ def fm_loss(v_pred, x, eps) -> Tensor:
 class VelocityModel(Protocol):
     params: dict[str, Tensor]
 
-    def velocity(self, x_t: np.ndarray, t: np.ndarray,
-                 conditioning: dict[str, np.ndarray]) -> Tensor: ...
+    def velocity(self, x_t: np.ndarray, t: np.ndarray, conditioning: Any) -> Tensor: ...
 
 
 def euler_sample(velocity_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -86,24 +85,26 @@ class TrainConfig:
 
 
 def train_fm(model: VelocityModel,
-             batch_fn: Callable[[np.random.Generator], tuple[np.ndarray, dict]],
+             batch_fn: Callable[[np.random.Generator], tuple[np.ndarray, Any]],
              config: TrainConfig) -> list[float]:
     """Generic flow-matching loop: AdamW + schedule over seeded batches.
 
-    batch_fn(rng) returns (clean, conditioning); noise and time are
-    drawn here so all models share the same batch construction. Returns the
-    per-step loss log. Zero steps leave the model untouched.
+    batch_fn(rng) returns (clean, conditioning): whatever the model's
+    `velocity` takes, built in the graph, so parameters it reads train too.
+    Noise and time are drawn here so all models share the same batch
+    construction. A non-finite value, in the batch too, raises RuntimeError.
+    Returns the per-step loss log. Zero steps leave the model untouched.
     """
     opt = AdamW()
     losses: list[float] = []
     for step_idx in range(config.steps):
         rng = rng_for(config.seed, "fm-step", step_idx)
-        clean, conditioning = batch_fn(rng)
-        clean = np.asarray(clean, dtype=np.float64)
-        noise = rng.standard_normal(clean.shape)
-        t = rng.uniform(0.0, 1.0, size=len(clean))
-        x_t = interpolate(clean, noise, t)
         try:
+            clean, conditioning = batch_fn(rng)
+            clean = np.asarray(clean, dtype=np.float64)
+            noise = rng.standard_normal(clean.shape)
+            t = rng.uniform(0.0, 1.0, size=len(clean))
+            x_t = interpolate(clean, noise, t)
             loss = train_step(
                 model.params,
                 lambda: fm_loss(model.velocity(x_t, t, conditioning), clean, noise),

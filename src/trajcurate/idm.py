@@ -13,12 +13,12 @@ from __future__ import annotations
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import flow, sim
-from .checkpoint import arrays_must_match, hyper_from_meta, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_model, save_model
 from .dataset import Episode
 from .nn import Linear, ParamStore, Trunk, patchify, time_features
 from .seeding import derive_seed, rng_for
@@ -73,9 +73,9 @@ class IdmModel:
     def denormalize(self, chunks: np.ndarray) -> np.ndarray:
         return chunks * self.norm_std + self.norm_mean
 
-    def _frame_tokens(self, frame_a: np.ndarray, frame_b: np.ndarray) -> Tensor:
-        """Anchor-frame tokens plus frame-difference tokens; the difference
-        channel carries the motion signal the chunk must explain."""
+    def frame_tokens(self, frame_a: np.ndarray, frame_b: np.ndarray) -> Tensor:
+        """`velocity`'s conditioning: anchor-frame tokens plus frame-difference
+        tokens; the difference carries the motion the chunk must explain."""
         pa = patchify(frame_a, self.hyper.patch)               # (B, P, pd)
         pb = patchify(frame_b, self.hyper.patch)
         emb_a = (self.patch_embed(Tensor(pa)).layer_norm()
@@ -84,19 +84,14 @@ class IdmModel:
                  + self.pos_embed + self.frame_embed[1:2, :])
         return concat([emb_a, emb_d], axis=1)
 
-    def velocity(self, x_t: np.ndarray, t: np.ndarray,
-                 conditioning: dict[str, np.ndarray]) -> Tensor:
+    def velocity(self, x_t: np.ndarray, t: np.ndarray, cond: Tensor) -> Tensor:
         """x_t: (B, H, 6) normalized noisy chunk; returns (B, H, 6) velocity.
 
-        conditioning holds the endpoint frames "frame_a" and "frame_b", or
-        their "tokens" from `_frame_tokens` when the caller reuses them over
-        several Euler steps. Without a graph the trunk computes its last
-        block for the chunk rows alone; with one it computes every row, so
-        the weight-gradient sums keep their order."""
+        `cond` is `frame_tokens` of the endpoint frames, built once per batch
+        and reused over every Euler step. Without a graph the trunk computes
+        its last block for the chunk rows alone; with one it computes every
+        row, so the weight-gradient sums keep their order."""
         b = x_t.shape[0]
-        cond = conditioning.get("tokens")
-        if cond is None:
-            cond = self._frame_tokens(conditioning["frame_a"], conditioning["frame_b"])
         tfeat = time_features(t, self.hyper.dim)                 # (B, D)
         tvec = self.time_proj(Tensor(tfeat)).reshape(b, 1, self.hyper.dim)
         act = self.chunk_in(Tensor(x_t)) + self.row_embed + tvec
@@ -107,20 +102,14 @@ class IdmModel:
 
     # -- persistence -----------------------------------------------------------
     def save(self, path) -> None:
-        arrays = {**self.store.arrays(), "norm/mean": self.norm_mean,
-                  "norm/std": self.norm_std}
-        save_checkpoint(path, arrays, meta=asdict(self.hyper))
+        save_model(path, self, {"norm/mean": self.norm_mean, "norm/std": self.norm_std})
 
     @classmethod
     def load(cls, path) -> "IdmModel":
-        arrays, meta = load_checkpoint(path)
-        model = cls(hyper_from_meta(IdmHyper, meta))
-        with arrays_must_match(path):
-            model.norm_mean = arrays.pop("norm/mean")
-            model.norm_std = arrays.pop("norm/std")
-            if model.norm_mean.shape != (ACTION_DIM,) or model.norm_std.shape != (ACTION_DIM,):
-                raise ValueError("shape mismatch for the action normalization")
-            model.store.load(arrays)
+        model, _, norm = load_model(cls, IdmHyper, path, ("norm/mean", "norm/std"))
+        model.norm_mean, model.norm_std = norm["norm/mean"], norm["norm/std"]
+        if model.norm_mean.shape != (ACTION_DIM,) or model.norm_std.shape != (ACTION_DIM,):
+            raise CheckpointError(f"{path}: shape mismatch for the action normalization")
         return model
 
 
@@ -162,8 +151,8 @@ def train_idm(episodes: list[Episode], config: flow.TrainConfig,
             frames_a.append(ep.frames[s])
             frames_b.append(ep.frames[s + hyper.horizon])
             chunks.append(ep.actions[s:s + hyper.horizon])
-        cond = {"frame_a": np.stack(frames_a), "frame_b": np.stack(frames_b)}
-        return model.normalize(np.stack(chunks)), cond
+        return (model.normalize(np.stack(chunks)),
+                model.frame_tokens(np.stack(frames_a), np.stack(frames_b)))
 
     losses = flow.train_fm(model, batch_fn, config)
     return model, losses
@@ -190,7 +179,7 @@ def _predict_batch(model: IdmModel, frames_a: np.ndarray, frames_b: np.ndarray,
     thread finished first. The pool is closed before this returns, and a
     worker's exception is raised here."""
     with no_grad():
-        cond = {"tokens": model._frame_tokens(frames_a, frames_b)}
+        cond = model.frame_tokens(frames_a, frames_b)
 
     def velocity_fn(x_t, t):
         with no_grad():
@@ -198,7 +187,9 @@ def _predict_batch(model: IdmModel, frames_a: np.ndarray, frames_b: np.ndarray,
 
     shape = (len(frames_a), model.hyper.horizon, ACTION_DIM)
     n_runs = model.hyper.sample_avg
-    with ThreadPoolExecutor(min(n_runs, len(os.sched_getaffinity(0)))) as pool:
+    affinity = getattr(os, "sched_getaffinity", None)      # Linux only
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+    with ThreadPoolExecutor(min(n_runs, cores)) as pool:
         futures = [pool.submit(flow.euler_sample, velocity_fn, shape,
                                model.hyper.euler_steps, derive_seed(seed, "avg", j))
                    for j in range(n_runs)]

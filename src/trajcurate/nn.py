@@ -76,14 +76,15 @@ class LayerNorm:
 
 
 class MultiHeadAttention:
-    """Learned-projection attention; pass distinct kv input for cross-attention."""
+    """Learned-projection attention; pass distinct kv input for cross-attention.
+    Its projections are drawn and named `prefix` + "q", "k", "v", "o"."""
 
-    def __init__(self, store: ParamStore, name: str, dim: int, n_heads: int):
+    def __init__(self, store: ParamStore, prefix: str, dim: int, n_heads: int):
         self.n_heads = n_heads
-        self.wq = Linear(store, f"{name}.q", dim, dim)
-        self.wk = Linear(store, f"{name}.k", dim, dim)
-        self.wv = Linear(store, f"{name}.v", dim, dim)
-        self.wo = Linear(store, f"{name}.o", dim, dim)
+        self.wq = Linear(store, f"{prefix}q", dim, dim)
+        self.wk = Linear(store, f"{prefix}k", dim, dim)
+        self.wv = Linear(store, f"{prefix}v", dim, dim)
+        self.wo = Linear(store, f"{prefix}o", dim, dim)
 
     def __call__(self, x_q: Tensor, x_kv: Tensor | None = None) -> Tensor:
         x_kv = x_q if x_kv is None else x_kv
@@ -105,7 +106,7 @@ class TransformerBlock:
 
     def __init__(self, store: ParamStore, name: str, dim: int, n_heads: int):
         self.ln1 = LayerNorm(store, f"{name}.ln1", dim)
-        self.attn = MultiHeadAttention(store, f"{name}.attn", dim, n_heads)
+        self.attn = MultiHeadAttention(store, f"{name}.attn.", dim, n_heads)
         self.ln2 = LayerNorm(store, f"{name}.ln2", dim)
         self.mlp = Mlp(store, f"{name}.mlp", dim, 4 * dim)
 

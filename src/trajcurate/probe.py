@@ -14,19 +14,19 @@ averages the per-window alignment probabilities.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import sim
-from .checkpoint import arrays_must_match, hyper_from_meta, load_checkpoint, save_checkpoint
+from .checkpoint import load_model, save_model
 from .dataset import Episode
 from .encoder import EncoderModel, clip_windows
-from .nn import LayerNorm, Linear, ParamStore
+from .nn import LayerNorm, Linear, MultiHeadAttention, ParamStore
 from .optim import AdamW, train_step
 from .seeding import rng_for
 from .synthgen import NeuralSample
-from .tensor import Tensor, attention, concat, no_grad
+from .tensor import Tensor, concat, no_grad
 
 LABELS = ("positive", "neg_shift", "neg_cross")
 PATIENCE = 6            # epochs without a better validation BCE before stopping
@@ -119,10 +119,7 @@ class ProbeModel:
         d = hyper.dim
         self.query = store.gaussian("query", (1, d))
         self.segment = store.gaussian("segment", (2, d))
-        self.wq = Linear(store, "wq", d, d)
-        self.wk = Linear(store, "wk", d, d)
-        self.wv = Linear(store, "wv", d, d)
-        self.wo = Linear(store, "wo", d, d)
+        self.attn = MultiHeadAttention(store, "w", d, hyper.heads)
         self.ln = LayerNorm(store, "ln", d)
         self.head = Linear(store, "head", d, 1)
         self.store = store
@@ -140,22 +137,14 @@ class ProbeModel:
         tokens = concat([Tensor(z1) + self.segment[0:1, :],
                          Tensor(z2) + self.segment[1:2, :]], axis=1)
         query = concat([self.query.reshape(1, 1, -1)] * b, axis=0)
-        attended = attention(self.wq(query), self.wk(tokens), self.wv(tokens),
-                             self.hyper.heads)
-        vec = self.ln(self.wo(attended))
-        logits = self.head(vec).reshape(b)
-        return logits
+        return self.head(self.ln(self.attn(query, tokens))).reshape(b)
 
     def save(self, path) -> None:
-        save_checkpoint(path, self.store.arrays(), meta=asdict(self.hyper))
+        save_model(path, self)
 
     @classmethod
     def load(cls, path) -> "ProbeModel":
-        arrays, meta = load_checkpoint(path)
-        model = cls(hyper_from_meta(ProbeHyper, meta))
-        with arrays_must_match(path):
-            model.store.load(arrays)
-        return model
+        return load_model(cls, ProbeHyper, path)[0]
 
 
 def alignment_prob(logits: np.ndarray) -> np.ndarray:

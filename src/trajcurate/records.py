@@ -42,10 +42,11 @@ def write_records(path, magic: bytes, version: int, records) -> None:
 
 
 def read_records(raw: bytes, magic: bytes, version: int,
-                 kinded: bool) -> list[tuple[str, int | None, tuple[int, ...], bytes]]:
+                 kinded: bool) -> list[tuple[str, int | None, tuple[int, ...], memoryview]]:
     """The `(name, kind, dims, payload)` records of `raw`, in file order; kind
     is None when the records are not `kinded`, and their payload is float64.
-    Bytes that do not follow the layout raise one of CORRUPT_ERRORS."""
+    Payloads are views of `raw`. Bytes that do not follow the layout, or a
+    repeated record name, raise one of CORRUPT_ERRORS."""
     if raw[:4] != magic:
         raise ValueError(f"bad magic {raw[:4]!r}")
     if len(raw) < 6:
@@ -61,6 +62,8 @@ def read_records(raw: bytes, magic: bytes, version: int,
         if len(raw) - pos < name_len:
             raise struct.error("short name")
         name = raw[pos:pos + name_len].decode()
+        if any(name == r[0] for r in records):
+            raise ValueError(f"repeated record name {name!r}")
         pos += name_len
         kind = None
         if kinded:
@@ -80,6 +83,6 @@ def read_records(raw: bytes, magic: bytes, version: int,
             nbytes = min(nbytes * d, remaining + 1)
         if nbytes > remaining:
             raise struct.error(f"dims {dims} need more than the {remaining} bytes left")
-        records.append((name, kind, dims, raw[pos:pos + nbytes]))
+        records.append((name, kind, dims, memoryview(raw)[pos:pos + nbytes]))
         pos += nbytes
     return records

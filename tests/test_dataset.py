@@ -1,4 +1,6 @@
 import json
+import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +213,41 @@ def test_manifest_count_mismatch(tmp_path):
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(dataset.DatasetError, match="count"):
         dataset.load_dataset(tmp_path / "ds")
+
+
+def test_manifest_id_must_match_the_episode_file(tmp_path):
+    path = tmp_path / "ds"
+    dataset.save_dataset([make_episode(eid=0), make_episode(eid=5)], path)
+    shutil.copyfile(path / dataset.episode_filename(0), path / dataset.episode_filename(5))
+    with pytest.raises(dataset.DatasetError, match="ep_00000005.ntrj holds episode 0"):
+        dataset.load_dataset(path)
+
+
+def test_manifest_repeating_an_id_raises(tmp_path):
+    path = tmp_path / "ds"
+    dataset.save_dataset([make_episode(eid=0)], path)
+    manifest_path = path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest.update(count=2, episode_ids=[0, 0])
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(dataset.DatasetError, match="an episode id twice"):
+        dataset.load_dataset(path)
+
+
+def test_read_episode_peak_memory_stays_below_two_and_a_half_file_sizes(tmp_path):
+    """The file's bytes and the episode's own arrays are needed; the record
+    payloads are views of the bytes, not a third copy."""
+    path = tmp_path / "ep.ntrj"
+    dataset.write_episode(make_episode(t=500), path)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        episode = dataset.read_episode(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(episode.frames) == 500
+    assert peak < 2.5 * size, (peak, size)
 
 
 def test_saved_bytes_deterministic(tmp_path):

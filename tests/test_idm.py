@@ -1,3 +1,4 @@
+import os
 import threading
 
 import numpy as np
@@ -37,17 +38,16 @@ def random_video(t, seed=0, resolution=32):
 
 
 def reference_label_video(video, model):
-    """One Euler sample per averaged run, each step calling `velocity` on the
-    raw frames, so the frame tokens are recomputed at every step. `velocity`
-    runs with the graph on, so the trunk computes every row of its last block
-    instead of the chunk rows alone."""
+    """One Euler sample per averaged run, each step recomputing the frame
+    tokens from the raw frames. `velocity` runs with the graph on, so the
+    trunk computes every row of its last block instead of the chunk rows
+    alone."""
     h = model.hyper.horizon
     starts = list(range(0, len(video) - 1, h))
     ends = [min(s + h, len(video) - 1) for s in starts]
-    cond = {"frame_a": video[starts], "frame_b": video[ends]}
 
     def velocity_fn(x_t, t):
-        return model.velocity(x_t, t, cond).data
+        return model.velocity(x_t, t, model.frame_tokens(video[starts], video[ends])).data
 
     base = derive_seed(idm.LABEL_SEED, "label-windows")
     shape = (len(starts), h, idm.ACTION_DIM)
@@ -87,9 +87,19 @@ def test_label_video_leaves_no_thread_and_grad_on():
     rng = np.random.default_rng(5)
     x, eps = rng.normal(size=(2, 2, model.hyper.horizon, idm.ACTION_DIM))
     t = np.array([0.3, 0.7])
-    cond = {"frame_a": video[:2], "frame_b": video[8:]}
+    cond = model.frame_tokens(video[:2], video[8:])
     optim.train_step(model.params,
                      lambda: flow.fm_loss(model.velocity(flow.interpolate(x, eps, t), t, cond),
                                           x, eps),
                      optim.AdamW(), lr=1e-3)
     assert all(p.grad is not None and np.any(p.grad) for p in model.params.values())
+
+
+def test_label_video_without_sched_getaffinity(monkeypatch):
+    """Platforms other than Linux have no `os.sched_getaffinity`; the pool is
+    then sized by `os.cpu_count()`, with the same labels."""
+    model = default_model()
+    video = random_video(20, seed=6, resolution=model.hyper.resolution)
+    expected = idm.label_video(video, model)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert idm.label_video(video, model).tobytes() == expected.tobytes()

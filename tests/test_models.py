@@ -188,13 +188,16 @@ def test_nan_mid_trunk_raises_in_idm_labeling():
         idm.label_video(random_frames(9), model)
 
 
-def test_nan_mid_trunk_raises_in_idm_training():
-    model = poison(idm.IdmModel(NAN_IDM, seed=1), MID_TRUNK)
+@pytest.mark.parametrize("poisoned", [MID_TRUNK, "patch.w"], ids=["trunk", "patch"])
+def test_nan_mid_trunk_raises_in_idm_training(poisoned):
+    """A poisoned trunk weight fails in the loss; a poisoned patch embedding
+    fails in `frame_tokens`, inside batch_fn, and must be reported alike."""
+    model = poison(idm.IdmModel(NAN_IDM, seed=1), poisoned)
     frames = random_frames(4, seed=2)
 
     def batch_fn(rng):
         chunks = rng.normal(size=(2, NAN_IDM.horizon, idm.ACTION_DIM))
-        return chunks, {"frame_a": frames[:2], "frame_b": frames[2:]}
+        return chunks, model.frame_tokens(frames[:2], frames[2:])
 
     config = flow.TrainConfig(steps=2, batch_size=2,
                               schedule=LrSchedule(base_lr=1e-3, total_steps=2, stable_steps=1))
@@ -286,11 +289,11 @@ def test_probe_bce_grad_matches_finite_differences():
 def test_idm_flow_matching_grad_matches_finite_differences():
     rng = np.random.default_rng(9)
     frames = random_frames(4, seed=9)
-    conditioning = {"frame_a": frames[:2], "frame_b": frames[2:]}
     clean, noise = rng.normal(size=(2, 2, TINY_IDM.horizon, idm.ACTION_DIM))
     t = np.array([0.3, 0.8])
     x_t = flow.interpolate(clean, noise, t)
     check_directional_grads(
         lambda: idm.IdmModel(TINY_IDM, seed=0),
-        lambda model: flow.fm_loss(model.velocity(x_t, t, conditioning), clean, noise),
+        lambda model: flow.fm_loss(
+            model.velocity(x_t, t, model.frame_tokens(frames[:2], frames[2:])), clean, noise),
         seed=10)
