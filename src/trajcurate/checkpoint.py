@@ -5,8 +5,8 @@ the record layout of `records`, without kind bytes. Records are written in
 sorted name order so identical parameter sets produce byte-identical files.
 Scalar metadata (a model's hyper fields, flags such as the encoder's frozen
 marker) is stored as one-element tensors under the "meta/" prefix. Loading
-rejects any NaN or infinity, in a parameter or in the meta. Models become
-files and come back through `save_model` and `load_model` alone.
+rejects any NaN or infinity, in a parameter or in the meta. A model writes
+`save_checkpoint(path, *model_state(model))` and reads back through `load_model`.
 """
 
 from __future__ import annotations
@@ -76,19 +76,15 @@ def hyper_from_meta(cls: type[H], meta: dict[str, float]) -> H:
     return cls(**values)
 
 
-def save_model(path, model, arrays: dict[str, np.ndarray] | None = None,
-               meta: dict[str, float] | None = None) -> None:
-    """Write `model.store`'s parameters and `arrays`, and `model.hyper`'s
-    fields and `meta`, to one TCKP file."""
-    save_checkpoint(path, {**model.store.arrays(), **(arrays or {})},
-                    meta={**asdict(model.hyper), **(meta or {})})
+def model_state(model, arrays=None, meta=None) -> tuple[dict[str, np.ndarray], dict[str, float]]:
+    """What `save_checkpoint` writes for `model`, with `arrays` and `meta` added."""
+    return {**model.store.arrays(), **(arrays or {})}, {**asdict(model.hyper), **(meta or {})}
 
 
-def load_model(cls: type[M], hyper_cls: type, path, extra: tuple[str, ...] = ()
-               ) -> tuple[M, dict[str, float], dict[str, np.ndarray]]:
-    """The model `save_model` wrote, its meta and the non-parameter arrays named
-    in `extra`; a missing, unknown or misshapen array raises CheckpointError."""
-    arrays, meta = load_checkpoint(path)
+def load_model(cls: type[M], hyper_cls: type, path, arrays: dict[str, np.ndarray],
+               meta: dict[str, float], extra: tuple[str, ...] = ()) -> tuple[M, dict, dict]:
+    """The model, meta and `extra` arrays of `load_checkpoint(path)`'s result;
+    a missing, unknown or misshapen array raises CheckpointError."""
     model = cls(hyper_from_meta(hyper_cls, meta))
     try:
         extras = {name: arrays.pop(name) for name in extra}

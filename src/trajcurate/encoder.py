@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import CheckpointError, load_model, save_model
+from .checkpoint import CheckpointError, load_checkpoint, load_model, model_state, save_checkpoint
 from .dataset import Episode
 from .nn import Linear, ParamStore, Trunk, patchify
 from .optim import AdamW, LrSchedule, train_step, wsd_lr
@@ -106,12 +106,12 @@ class EncoderModel:
             return self.encode(clips).readout()
 
     def save(self, path) -> None:
-        save_model(path, self, meta={"clip_len": CLIP_LEN, "stride": STRIDE,
-                                     "frozen": float(self.frozen)})
+        save_checkpoint(path, *model_state(self, meta={"clip_len": CLIP_LEN, "stride": STRIDE,
+                                                       "frozen": float(self.frozen)}))
 
     @classmethod
     def load(cls, path) -> "EncoderModel":
-        model, meta, _ = load_model(cls, EncoderHyper, path)
+        model, meta, _ = load_model(cls, EncoderHyper, path, *load_checkpoint(path))
         for name, value in (("clip_len", CLIP_LEN), ("stride", STRIDE)):
             if meta.get(name) != value:
                 raise CheckpointError(f"{path}: meta field {name!r} is "

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flow, sim
-from .checkpoint import CheckpointError, load_model, save_model
+from .checkpoint import CheckpointError, load_checkpoint, load_model, model_state, save_checkpoint
 from .dataset import Episode
 from .nn import Linear, ParamStore, Trunk, patchify, time_features
 from .seeding import derive_seed, rng_for
@@ -102,11 +102,13 @@ class IdmModel:
 
     # -- persistence -----------------------------------------------------------
     def save(self, path) -> None:
-        save_model(path, self, {"norm/mean": self.norm_mean, "norm/std": self.norm_std})
+        save_checkpoint(path, *model_state(self, {"norm/mean": self.norm_mean,
+                                                  "norm/std": self.norm_std}))
 
     @classmethod
     def load(cls, path) -> "IdmModel":
-        model, _, norm = load_model(cls, IdmHyper, path, ("norm/mean", "norm/std"))
+        model, _, norm = load_model(cls, IdmHyper, path, *load_checkpoint(path),
+                                    ("norm/mean", "norm/std"))
         model.norm_mean, model.norm_std = norm["norm/mean"], norm["norm/std"]
         if model.norm_mean.shape != (ACTION_DIM,) or model.norm_std.shape != (ACTION_DIM,):
             raise CheckpointError(f"{path}: shape mismatch for the action normalization")

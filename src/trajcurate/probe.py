@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sim
-from .checkpoint import load_model, save_model
+from .checkpoint import load_checkpoint, load_model, model_state, save_checkpoint
 from .dataset import Episode
 from .encoder import EncoderModel, clip_windows
 from .nn import LayerNorm, Linear, MultiHeadAttention, ParamStore
@@ -140,11 +140,11 @@ class ProbeModel:
         return self.head(self.ln(self.attn(query, tokens))).reshape(b)
 
     def save(self, path) -> None:
-        save_model(path, self)
+        save_checkpoint(path, *model_state(self))
 
     @classmethod
     def load(cls, path) -> "ProbeModel":
-        return load_model(cls, ProbeHyper, path)[0]
+        return load_model(cls, ProbeHyper, path, *load_checkpoint(path))[0]
 
 
 def alignment_prob(logits: np.ndarray) -> np.ndarray:

@@ -54,7 +54,7 @@ def read_records(raw: bytes, magic: bytes, version: int,
     (found,) = struct.unpack_from("<H", raw, 4)
     if found != version:
         raise ValueError(f"unsupported version {found}")
-    records = []
+    records, seen, view = [], set(), memoryview(raw)
     pos = 6
     while pos < len(raw):
         (name_len,) = struct.unpack_from("<I", raw, pos)
@@ -62,8 +62,9 @@ def read_records(raw: bytes, magic: bytes, version: int,
         if len(raw) - pos < name_len:
             raise struct.error("short name")
         name = raw[pos:pos + name_len].decode()
-        if any(name == r[0] for r in records):
+        if name in seen:
             raise ValueError(f"repeated record name {name!r}")
+        seen.add(name)
         pos += name_len
         kind = None
         if kinded:
@@ -83,6 +84,6 @@ def read_records(raw: bytes, magic: bytes, version: int,
             nbytes = min(nbytes * d, remaining + 1)
         if nbytes > remaining:
             raise struct.error(f"dims {dims} need more than the {remaining} bytes left")
-        records.append((name, kind, dims, memoryview(raw)[pos:pos + nbytes]))
+        records.append((name, kind, dims, view[pos:pos + nbytes]))
         pos += nbytes
     return records
