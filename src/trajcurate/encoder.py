@@ -22,7 +22,7 @@ import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, load_model, model_state, save_checkpoint
 from .dataset import Episode
-from .nn import Linear, ParamStore, Trunk, patchify
+from .nn import Linear, ParamStore, Trunk, patch_grid, unit_range
 from .optim import AdamW, LrSchedule, train_step, wsd_lr
 from .seeding import rng_for
 from .synthgen import random_palette_map, remap_frames
@@ -39,10 +39,16 @@ TEMPERATURE = 0.1    # of the contrastive softmax
 
 
 def clip_windows(video: np.ndarray) -> np.ndarray:
-    """(T, H, W, 3) video -> (n, CLIP_LEN, H, W, 3) read-only views: every
-    STRIDE-th frame, front-padded to one clip, cut at every GRID_STEP. It is
-    the one place clips are cut, so pretraining, pairs and scoring agree."""
-    eff = video[::STRIDE]
+    """(T, H, W, 3) video -> (n, CLIP_LEN, H, W, 3) read-only views: the
+    `cut_clips` of every STRIDE-th frame."""
+    return cut_clips(video[::STRIDE])
+
+
+def cut_clips(eff: np.ndarray) -> np.ndarray:
+    """Clips of frames already taken at STRIDE: front-padded to one clip by
+    repeating frame 0, cut at every GRID_STEP. It is the one place clips are
+    cut, so pretraining, pairs and scoring agree; a replay renders only the
+    frames it passes here."""
     if len(eff) < CLIP_LEN:
         pad = np.repeat(eff[:1], CLIP_LEN - len(eff), axis=0)
         eff = np.concatenate([pad, eff], axis=0)
@@ -88,12 +94,12 @@ class EncoderModel:
         b, t = clips.shape[0], clips.shape[1]
         if t != CLIP_LEN:
             raise ValueError(f"clip length {t} != {CLIP_LEN}")
-        patches = patchify(clips, h.patch)            # (B, T, P, pd)
+        patches = patch_grid(clips, h.patch)          # (B, T, P, pd)
         p = patches.shape[2]
         slots = t // h.tubelet
         patches = patches.reshape(b, slots, h.tubelet, p, -1)
         patches = np.moveaxis(patches, 2, 3)          # (B, slots, P, tubelet, pd)
-        return patches.reshape(b, slots * p, -1)      # (B, M, tubelet*pd)
+        return unit_range(patches.reshape(b, slots * p, -1))   # (B, M, tubelet*pd)
 
     def encode(self, clips: np.ndarray) -> Tensor:
         """(B, CLIP_LEN, H, W, 3) -> token Tensor (B, M, D); gradient-capable."""

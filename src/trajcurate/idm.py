@@ -10,14 +10,13 @@ always receives exactly T-1 action rows.
 
 from __future__ import annotations
 
+import functools
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import flow, sim
+from . import flow, parallel, sim
 from .checkpoint import CheckpointError, load_checkpoint, load_model, model_state, save_checkpoint
 from .dataset import Episode
 from .nn import Linear, ParamStore, Trunk, patchify, time_features
@@ -174,12 +173,10 @@ def _predict_batch(model: IdmModel, frames_a: np.ndarray, frames_b: np.ndarray,
     The frame tokens are the same for every run and step, so they are
     computed once.
 
-    The runs are independent and their numpy and scipy kernels release the
-    GIL, so they run on worker threads, at most one per usable core. Each
-    worker enters `no_grad` itself, since the grad mode is per thread. The
-    runs are averaged in run order, so the labels do not depend on which
-    thread finished first. The pool is closed before this returns, and a
-    worker's exception is raised here."""
+    The runs are independent, so `parallel.run` runs them side by side;
+    `velocity_fn` enters `no_grad` on whichever thread runs it. The runs are
+    averaged in run order, so the labels do not depend on which thread
+    finished first."""
     with no_grad():
         cond = model.frame_tokens(frames_a, frames_b)
 
@@ -188,14 +185,9 @@ def _predict_batch(model: IdmModel, frames_a: np.ndarray, frames_b: np.ndarray,
             return model.velocity(x_t, t, cond).readout()
 
     shape = (len(frames_a), model.hyper.horizon, ACTION_DIM)
-    n_runs = model.hyper.sample_avg
-    affinity = getattr(os, "sched_getaffinity", None)      # Linux only
-    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
-    with ThreadPoolExecutor(min(n_runs, cores)) as pool:
-        futures = [pool.submit(flow.euler_sample, velocity_fn, shape,
-                               model.hyper.euler_steps, derive_seed(seed, "avg", j))
-                   for j in range(n_runs)]
-        runs = [f.result() for f in futures]
+    runs = parallel.run([functools.partial(flow.euler_sample, velocity_fn, shape,
+                                           model.hyper.euler_steps, derive_seed(seed, "avg", j))
+                         for j in range(model.hyper.sample_avg)])
     return _clip_chunk(model.denormalize(np.mean(runs, axis=0)))
 
 

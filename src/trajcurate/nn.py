@@ -157,9 +157,24 @@ def time_features(t: np.ndarray, dim: int) -> np.ndarray:
 
 def patchify(frames: np.ndarray, patch: int) -> np.ndarray:
     """(..., H, W, 3) uint8 frames -> (..., n_patches, patch*patch*3) in [-1, 1]."""
-    arr = np.asarray(frames, dtype=np.float64) / 127.5 - 1.0
+    return unit_range(patch_grid(frames, patch))
+
+
+def patch_grid(frames: np.ndarray, patch: int) -> np.ndarray:
+    """(..., H, W, 3) -> (..., n_patches, patch*patch*3), the values and
+    their dtype unchanged."""
+    arr = np.asarray(frames)
     *lead, h, w, c = arr.shape
     gh, gw = h // patch, w // patch
     arr = arr.reshape(*lead, gh, patch, gw, patch, c)
     arr = np.moveaxis(arr, -3, -4)           # (..., gh, gw, patch, patch, c)
     return arr.reshape(*lead, gh * gw, patch * patch * c)
+
+
+def unit_range(pixels: np.ndarray) -> np.ndarray:
+    """Pixel values 0..255 -> float64 in [-1, 1], as one new array. Callers
+    rearrange uint8 pixels first, so no float array is copied."""
+    arr = np.array(pixels, dtype=np.float64)
+    arr /= 127.5
+    arr -= 1.0
+    return arr

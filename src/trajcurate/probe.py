@@ -14,14 +14,15 @@ averages the per-window alignment probabilities.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import sim
+from . import parallel, sim
 from .checkpoint import load_checkpoint, load_model, model_state, save_checkpoint
 from .dataset import Episode
-from .encoder import EncoderModel, clip_windows
+from .encoder import STRIDE, EncoderModel, clip_windows, cut_clips
 from .nn import LayerNorm, Linear, MultiHeadAttention, ParamStore
 from .optim import AdamW, train_step
 from .seeding import rng_for
@@ -29,6 +30,7 @@ from .synthgen import NeuralSample
 from .tensor import Tensor, concat, no_grad
 
 LABELS = ("positive", "neg_shift", "neg_cross")
+ENCODE_BATCH = 64       # clips per encoder pass over the pair set, at most
 PATIENCE = 6            # epochs without a better validation BCE before stopping
 VAL_FRACTION = 0.2      # of the episodes, held out for validation
 
@@ -36,9 +38,12 @@ VAL_FRACTION = 0.2      # of the episodes, held out for validation
 def _replay_windows(scene: sim.SceneSpec, actions: np.ndarray,
                     resolution: int) -> np.ndarray:
     """`clip_windows` of `actions` replayed from the scene's initial state in
-    canonical appearance."""
-    return clip_windows(sim.replay(sim.canonical_scene(scene), sim.initial_state(scene),
-                                   actions, resolution))
+    canonical appearance. Every step is simulated, but only every STRIDE-th
+    frame, the ones the clips read, is rendered."""
+    canonical = sim.canonical_scene(scene)
+    states = sim.rollout(canonical, sim.initial_state(scene), actions)
+    return cut_clips(np.stack([sim.render(canonical, s, resolution)
+                               for s in states[::STRIDE]]))
 
 
 @dataclass(frozen=True)
@@ -185,12 +190,15 @@ class ProbeTrainReport:
 def _encode_windows(pair_set: PairSet, encoder: EncoderModel
                     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Tokens of every real and sim window, per episode. They are encoded once,
-    in (episode, real then sim, window) order and 64 at a time, because a
-    different batch split can change the encoder's bits."""
+    in (episode, real then sim, window) order, as contiguous parts of at most
+    ENCODE_BATCH clips, at least one per core, that `parallel.run` encodes
+    side by side. A clip's tokens do not depend on the other clips of its
+    batch, so the split does not change them."""
     sides = [w for real, replay in zip(pair_set.real, pair_set.sim) for w in (real, replay)]
     clips = np.concatenate(sides)
-    tokens = np.concatenate([encoder.encode_np(clips[i:i + 64])
-                             for i in range(0, len(clips), 64)])
+    n_parts = min(len(clips), max(parallel.cores(), -(-len(clips) // ENCODE_BATCH)))
+    tokens = np.concatenate(parallel.run([functools.partial(encoder.encode_np, part)
+                                          for part in np.array_split(clips, n_parts)]))
     per_side = np.split(tokens, np.cumsum([len(w) for w in sides])[:-1])
     return per_side[0::2], per_side[1::2]
 
@@ -282,12 +290,14 @@ def train_probe(pair_set: PairSet, encoder: EncoderModel,
 def score_sample(sample: NeuralSample, encoder: EncoderModel,
                  probe: ProbeModel) -> float:
     """Mean alignment probability over aligned clip windows of the generated
-    video and the canonical replay of its pseudo-actions."""
+    video and the canonical replay of its pseudo-actions. The two sides are
+    encoded side by side by `parallel.run`."""
     if sample.idm_actions is None:
         raise ValueError("sample has no pseudo-actions to verify")
-    z1 = encoder.encode_np(clip_windows(sample.video))
-    z2 = encoder.encode_np(_replay_windows(sample.scene, sample.idm_actions,
-                                           sample.video.shape[1]))
+    z1, z2 = parallel.run([
+        lambda: encoder.encode_np(clip_windows(sample.video)),
+        lambda: encoder.encode_np(_replay_windows(sample.scene, sample.idm_actions,
+                                                  sample.video.shape[1]))])
     with no_grad():
         logits = probe.forward(z1, z2).readout()
     return float(alignment_prob(logits).mean())

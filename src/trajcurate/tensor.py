@@ -121,9 +121,14 @@ class Tensor:
 
     # -- graph mechanics ----------------------------------------------------
     def _accumulate(self, g: np.ndarray) -> None:
+        """Add `g` to the gradient. The first one is copied into a buffer
+        laid out like `data`, whatever the layout of `g` (a transposed view
+        would make later reductions sum in another order)."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = g
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar loss."""
@@ -219,7 +224,7 @@ class Tensor:
     def sum(self, axis=None, keepdims: bool = False):
         def backward(g):
             gg = g if keepdims or axis is None else np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(gg, self.shape).copy())
+            self._accumulate(np.broadcast_to(gg, self.shape))
         return _op(self.data.sum(axis=axis, keepdims=keepdims), (self,), backward)
 
     def mean(self, axis: int | None = None, keepdims: bool = False):
@@ -254,12 +259,12 @@ class Tensor:
         advanced = any(isinstance(p, (np.ndarray, list)) for p in parts)
 
         def backward(g):
-            full = np.zeros_like(self.data)
+            if self.grad is None:
+                self.grad = np.zeros_like(self.data)
             if advanced:
-                np.add.at(full, key, g)   # repeated indices must accumulate
+                np.add.at(self.grad, key, g)   # repeated indices must accumulate
             else:
-                full[key] += g
-            self._accumulate(full)
+                self.grad[key] += g
         return _op(self.data[key], (self,), backward)
 
     # -- elementwise nonlinearities -------------------------------------------
@@ -292,8 +297,15 @@ class Tensor:
             return _op(np.multiply(phi_cdf, x, out=phi_cdf), (self,), None)
 
         def backward(g):
-            pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-            self._accumulate(g * (phi_cdf + x * pdf))
+            # g * (phi_cdf + x * pdf), in one buffer
+            d = -0.5 * x
+            d *= x
+            np.exp(d, out=d)
+            d /= math.sqrt(2.0 * math.pi)
+            d *= x
+            d += phi_cdf
+            d *= g
+            self._accumulate(d)
         return _op(x * phi_cdf, (self,), backward)
 
     def clip(self, lo: float, hi: float):
@@ -309,8 +321,12 @@ class Tensor:
         y /= y.sum(axis=axis, keepdims=True)
 
         def backward(g):
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            self._accumulate(y * (g - dot))
+            # y * (g - sum(g * y)), in one buffer
+            d = g * y
+            dot = d.sum(axis=axis, keepdims=True)
+            np.subtract(g, dot, out=d)
+            d *= y
+            self._accumulate(d)
         return _op(y, (self,), backward)
 
     def log_softmax(self, axis: int = -1):
@@ -331,8 +347,14 @@ class Tensor:
         n = self.shape[-1]
 
         def backward(g):
-            self._accumulate(inv * (g - g.mean(axis=-1, keepdims=True)
-                                    - y * (g * y).sum(axis=-1, keepdims=True) / n))
+            # inv * (g - mean(g) - y * sum(g * y) / n), in two buffers
+            gy = g * y
+            np.multiply(y, gy.sum(axis=-1, keepdims=True), out=gy)
+            gy /= n
+            d = g - g.mean(axis=-1, keepdims=True)
+            d -= gy
+            d *= inv
+            self._accumulate(d)
         return _op(y, (self,), backward)
 
 

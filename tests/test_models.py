@@ -1,6 +1,7 @@
 """Persistence, invariants and gradients of the encoder, probe and IDM models."""
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -25,9 +26,13 @@ from trajcurate.probe import (
     PairSet,
     ProbeHyper,
     ProbeModel,
+    ProbeTrainConfig,
     _bce_tensor,
+    _encode_windows,
+    _replay_windows,
     _split_by_episode,
     score_sample,
+    train_probe,
 )
 from trajcurate.synthgen import CorruptionSpec, NeuralSample
 from trajcurate.tensor import autodiff_grad, finite_diff_grad
@@ -84,6 +89,58 @@ def test_clip_windows_match_stride_pad_and_grid():
         assert np.array_equal(windows, expected), t
 
 
+def test_encoder_tokens_do_not_depend_on_the_batch_split():
+    """The probe encodes its clips in parts side by side, which is the same
+    as one pass only because a clip's tokens do not depend on the other
+    clips of its batch. Default hyper, weights spread wider than the init so
+    that every sum shows."""
+    model = EncoderModel(seed=1)
+    rng = np.random.default_rng(1)
+    for p in model.params.values():
+        p.data = rng.normal(0.0, 0.1, size=p.shape)
+    res = model.hyper.resolution
+    clips = rng.integers(0, 256, size=(33, CLIP_LEN, res, res, 3), dtype=np.uint8)
+    whole = model.encode_np(clips)
+    for split in (1, 2, 7, 16, 32):
+        parts = np.concatenate([model.encode_np(clips[:split]), model.encode_np(clips[split:])])
+        assert parts.tobytes() == whole.tobytes(), split
+
+
+def test_tubelets_match_patches_scaled_first():
+    """The tubelets are rearranged as uint8 and scaled once; the bytes are
+    those of scaling every pixel first and rearranging the floats."""
+    model = EncoderModel(TINY_ENCODER, seed=0)
+    h = model.hyper
+    clips = np.random.default_rng(2).integers(0, 256, size=(3, CLIP_LEN, 32, 32, 3),
+                                              dtype=np.uint8)
+    patches = np.asarray(clips, dtype=np.float64) / 127.5 - 1.0
+    patches = np.moveaxis(patches.reshape(3, CLIP_LEN, 2, h.patch, 2, h.patch, 3), 3, 4)
+    patches = patches.reshape(3, CLIP_LEN // h.tubelet, h.tubelet, 4, -1)
+    expected = np.moveaxis(patches, 2, 3).reshape(3, h.tokens_per_clip, -1)
+    assert model._tubelets(clips).tobytes() == expected.tobytes()
+
+
+def random_actions(n, rng):
+    actions = rng.uniform(-sim.A_MAX, sim.A_MAX, size=(n, 6))
+    actions[:, [2, 5]] = rng.uniform(0.0, 1.0, size=(n, 2))
+    return actions
+
+
+@pytest.mark.parametrize("n_actions, n_windows", [(39, 1), (100, 3)])
+def test_replay_windows_equal_the_clips_of_the_full_replay(n_actions, n_windows):
+    """The replay renders only the frames its clips read; its windows are
+    those of the fully rendered replay, front padding included."""
+    rng = np.random.default_rng(n_actions)
+    scene = sim.sample_scene(rng)
+    actions = random_actions(n_actions, rng)
+    full = clip_windows(sim.replay(sim.canonical_scene(scene), sim.initial_state(scene),
+                                   actions, 32))
+    windows = _replay_windows(scene, actions, 32)
+    assert len(windows) == n_windows
+    assert windows.shape == full.shape
+    assert windows.tobytes() == full.tobytes()
+
+
 @pytest.mark.parametrize("label, a, b", [
     ("positive", (0, 4), (1, 4)),      # different episodes
     ("positive", (0, 4), (0, 8)),      # different starts
@@ -125,8 +182,7 @@ def random_sample(t, seed):
     """A sample with a random video and random pseudo-actions."""
     rng = np.random.default_rng(seed)
     scene = sim.sample_scene(rng)
-    actions = rng.uniform(-sim.A_MAX, sim.A_MAX, size=(t - 1, 6))
-    actions[:, [2, 5]] = rng.uniform(0.0, 1.0, size=(t - 1, 2))
+    actions = random_actions(t - 1, rng)
     return NeuralSample(
         sample_id=0, video=rng.integers(0, 256, size=(t, 32, 32, 3), dtype=np.uint8),
         instruction=sim.Instruction("pick_place", "circle", 1, "plate", "left"),
@@ -159,6 +215,41 @@ def test_score_sample_ignores_hidden_fields():
     # the score does read the pseudo-actions, so the check above can fail
     relabeled = dataclasses.replace(sample, idm_actions=sample.idm_actions[::-1].copy())
     assert score_sample(relabeled, encoder, probe) != score
+
+
+def random_pair_set(n_ep, n_win, seed):
+    """Random 32px clips on both sides; every window has a positive, a
+    time-shifted and a cross-episode pair."""
+    rng = np.random.default_rng(seed)
+    real, replay = (
+        [rng.integers(0, 256, size=(n_win, CLIP_LEN, 32, 32, 3), dtype=np.uint8)
+         for _ in range(n_ep)] for _ in range(2))
+    pairs = [ClipPair(i, t, j, s, label) for i in range(n_ep) for t in range(n_win)
+             for j, s, label in ((i, t, "positive"), (i, (t + 1) % n_win, "neg_shift"),
+                                 ((i + 1) % n_ep, t, "neg_cross"))]
+    return PairSet(pairs, real, replay)
+
+
+def test_score_sample_and_train_probe_leave_no_thread():
+    before = threading.active_count()
+    sample = random_sample(70, seed=5)
+    encoder = EncoderModel(TINY_ENCODER, seed=5)
+    score_sample(sample, encoder, ProbeModel(TINY_PROBE, seed=5))
+    assert threading.active_count() == before
+
+    encoder.frozen = True
+    train_probe(random_pair_set(5, 2, seed=5), encoder, ProbeTrainConfig(max_epochs=2))
+    assert threading.active_count() == before
+
+
+def test_encode_windows_equals_one_pass_per_side():
+    """The parts encoded side by side come back in (episode, side, window)
+    order; more clips than one part holds."""
+    pair_set = random_pair_set(9, 4, seed=6)
+    encoder = EncoderModel(TINY_ENCODER, seed=6)
+    real, replay = _encode_windows(pair_set, encoder)
+    for tokens, clips in zip(real + replay, pair_set.real + pair_set.sim):
+        assert tokens.tobytes() == encoder.encode_np(clips).tobytes()
 
 
 # -- non-finite values injected mid-graph ------------------------------------------
@@ -215,8 +306,7 @@ def test_nan_mid_trunk_raises_in_encoder_readout():
 def test_nan_raises_in_probe_scoring(poisoned):
     rng = np.random.default_rng(4)
     t = 40
-    actions = rng.uniform(-sim.A_MAX, sim.A_MAX, size=(t - 1, 6))
-    actions[:, [2, 5]] = rng.uniform(0.0, 1.0, size=(t - 1, 2))
+    actions = random_actions(t - 1, rng)
     sample = NeuralSample(
         sample_id=0, video=random_frames(t, seed=4),
         instruction=sim.Instruction("pick_place", "circle", 1, "plate", "left"),

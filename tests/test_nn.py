@@ -7,7 +7,7 @@ import pytest
 from scipy.special import erf
 
 from trajcurate.idm import IdmHyper
-from trajcurate.nn import ParamStore, TransformerBlock, Trunk
+from trajcurate.nn import ParamStore, TransformerBlock, Trunk, patchify
 from trajcurate.tensor import Tensor, finite_diff_grad, no_grad
 
 
@@ -110,3 +110,21 @@ def test_in_place_kernels_match_reference_bytes(grad, shape, scale):
                 out = getattr(t, op)(*args)
         assert out.data.tobytes() == expected.tobytes(), (op, args)
         assert x.tobytes() == t.data.tobytes(), f"{op} wrote into its input"
+
+
+def reference_patchify(frames, patch):
+    """Scaled to [-1, 1] first, then cut into patches."""
+    arr = np.asarray(frames, dtype=np.float64) / 127.5 - 1.0
+    *lead, h, w, c = arr.shape
+    arr = arr.reshape(*lead, h // patch, patch, w // patch, patch, c)
+    arr = np.moveaxis(arr, -3, -4)
+    return arr.reshape(*lead, (h // patch) * (w // patch), patch * patch * c)
+
+
+@pytest.mark.parametrize("shape, patch", [((2, 32, 32, 3), 16), ((3, 4, 64, 64, 3), 16),
+                                          ((1, 16, 16, 3), 8)])
+def test_patchify_matches_reference_bytes(shape, patch):
+    frames = np.random.default_rng(len(shape)).integers(0, 256, size=shape, dtype=np.uint8)
+    out = patchify(frames, patch)
+    assert out.flags.c_contiguous
+    assert out.tobytes() == reference_patchify(frames, patch).tobytes()

@@ -1,9 +1,11 @@
 import gc
+import math
 import threading
 import weakref
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from trajcurate import checkpoint
 from trajcurate.tensor import (
@@ -124,6 +126,92 @@ def test_concat_embedding_getitem_grads():
     fd = finite_diff_grad(loss, {"table": table, "x": x}, eps=1e-6)
     assert rel_err(auto["table"], fd["table"]) < 1e-4
     assert rel_err(auto["x"], fd["x"]) < 1e-4
+
+
+# -- backward against the reference expressions ---------------------------------------
+
+
+def _gelu_grad(x, out, g):
+    phi_cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    return g * (phi_cdf + x * pdf)
+
+
+def _softmax_grad(x, y, g):
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
+def _layer_norm_grad(x, y, g):
+    c = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((c * c).mean(axis=-1, keepdims=True) + 1e-5)
+    n = x.shape[-1]
+    return inv * (g - g.mean(axis=-1, keepdims=True) - y * (g * y).sum(axis=-1, keepdims=True) / n)
+
+
+def _scatter_grad(key, advanced):
+    def grad(x, out, g):
+        full = np.zeros_like(x)
+        if advanced:
+            np.add.at(full, key, g)
+        else:
+            full[key] += g
+        return full
+    return grad
+
+
+def _sum_grad(x, out, g):
+    return np.broadcast_to(np.expand_dims(g, 1), x.shape).copy()
+
+
+ROWS = np.array([2, 0, 2, 3, 0])      # repeated rows must add up
+BACKWARD_REFERENCES = {
+    "gelu": (lambda x: x.gelu(), _gelu_grad),
+    "softmax": (lambda x: x.softmax(axis=-1), _softmax_grad),
+    "layer_norm": (lambda x: x.layer_norm(), _layer_norm_grad),
+    "getitem_basic": (lambda x: x[1:3, ::2], _scatter_grad((slice(1, 3), slice(None, None, 2)),
+                                                           False)),
+    "getitem_advanced": (lambda x: x[ROWS], _scatter_grad(ROWS, True)),
+    "sum": (lambda x: x.sum(axis=1), _sum_grad),
+}
+
+
+@pytest.mark.parametrize("shape", [(4, 6), (5, 40, 64)])
+@pytest.mark.parametrize("name", sorted(BACKWARD_REFERENCES))
+def test_backward_equals_reference_expression(name, shape):
+    """Each op's input gradient has the bits of the plain expression, for an
+    upstream gradient `g` that reaches the op unchanged through `* g`."""
+    op, reference = BACKWARD_REFERENCES[name]
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.normal(size=shape), requires_grad=True)
+    out = op(x)
+    g = rng.normal(size=out.shape)
+    (out * Tensor(g)).sum().backward()
+    expected = reference(x.data, out.data, g)
+    assert x.grad.tobytes() == expected.tobytes()
+
+
+def test_overlapping_slices_add_their_gradients():
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    ga, gb = rng.normal(size=(2, 3, 3))
+    ((x[0:3] * Tensor(ga)).sum() + (x[2:5] * Tensor(gb)).sum()).backward()
+    expected = np.zeros((5, 3))
+    expected[0:3] += ga
+    expected[2:5] += gb
+    assert x.grad.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_first_gradient_takes_the_parameters_layout(order):
+    """`p` gets its first gradient as a transposed view; `p.grad` is still
+    laid out like `p.data`, since a gradient with other strides makes later
+    reductions sum in another order."""
+    rng = np.random.default_rng(13)
+    p = Tensor(np.asarray(rng.normal(size=(3, 5)), order=order), requires_grad=True)
+    g = rng.normal(size=(5, 3))
+    (p.transpose(1, 0) * Tensor(g)).sum().backward()
+    assert p.grad.strides == p.data.strides
+    assert np.array_equal(p.grad, g.T)
 
 
 def test_nan_rejected():
