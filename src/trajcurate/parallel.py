@@ -42,10 +42,7 @@ def run(calls: Sequence[Callable[[], T]]) -> list[T]:
             results[i] = calls[i]()
 
     workers = min(len(calls), cores()) - 1
-    if workers < 1:
-        drain()
-        return results
-    with ThreadPoolExecutor(workers) as pool:
+    with ThreadPoolExecutor(max(workers, 1)) as pool:    # starts threads on submit only
         futures = [pool.submit(drain) for _ in range(workers)]
         drain()
         for f in futures:
