@@ -7,6 +7,8 @@ Scalar metadata (a model's hyper fields, flags such as the encoder's frozen
 marker) is stored as one-element tensors under the "meta/" prefix. Loading
 rejects any NaN or infinity, in a parameter or in the meta. A model writes
 `save_checkpoint(path, *model_state(model))` and reads back through `load_model`.
+Values that a model's module fixes, such as the encoder's clip geometry, are
+written to meta as well, and `load_model` rejects a file that disagrees.
 """
 
 from __future__ import annotations
@@ -82,9 +84,14 @@ def model_state(model, arrays=None, meta=None) -> tuple[dict[str, np.ndarray], d
 
 
 def load_model(cls: type[M], hyper_cls: type, path, arrays: dict[str, np.ndarray],
-               meta: dict[str, float], extra: tuple[str, ...] = ()) -> tuple[M, dict, dict]:
+               meta: dict[str, float], fixed: dict[str, float] | None = None,
+               extra: tuple[str, ...] = ()) -> tuple[M, dict, dict]:
     """The model, meta and `extra` arrays of `load_checkpoint(path)`'s result;
-    a missing, unknown or misshapen array raises CheckpointError."""
+    meta that lacks a `fixed` value or disagrees with it, and a missing,
+    unknown or misshapen array, raise CheckpointError."""
+    for name, value in (fixed or {}).items():
+        if meta.get(name) != value:
+            raise CheckpointError(f"{path}: meta field {name!r} is {meta.get(name)!r}, not {value}")
     model = cls(hyper_from_meta(hyper_cls, meta))
     try:
         extras = {name: arrays.pop(name) for name in extra}

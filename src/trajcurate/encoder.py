@@ -9,9 +9,9 @@ frozen and the attentive probe reads its tokens.
 
 Videos shorter than one clip are front-padded by repeating frame 0.
 
-The clip geometry (CLIP_LEN, STRIDE) is fixed by this module, not by the
-model's hyperparameters: checkpoints record it in meta only, and loading one
-whose meta lacks it or disagrees with it fails.
+The clip and token geometry (CLIP_LEN, STRIDE, PATCH, TUBELET) is fixed by
+this module, not by the model's hyperparameters: checkpoints record it in meta
+only, and loading one whose meta lacks it or disagrees with it fails.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import CheckpointError, load_checkpoint, load_model, model_state, save_checkpoint
+from .checkpoint import load_checkpoint, load_model, model_state, save_checkpoint
 from .dataset import Episode
 from .nn import Linear, ParamStore, Trunk, patch_grid, unit_range
 from .optim import AdamW, LrSchedule, train_step, wsd_lr
@@ -31,6 +31,9 @@ from .tensor import Tensor, no_grad
 CLIP_LEN = 16        # frames per clip, after stride subsampling
 STRIDE = 4           # temporal stride (original frames per effective frame)
 GRID_STEP = 4        # clip-start grid step, in effective frames
+PATCH = 16           # token patch side, in pixels
+TUBELET = 2          # frames per token
+GEOMETRY = {"clip_len": CLIP_LEN, "stride": STRIDE, "patch": PATCH, "tubelet": TUBELET}
 PRETRAIN_LR = 1e-3
 TEMPERATURE = 0.1    # of the contrastive softmax
 
@@ -64,13 +67,11 @@ class EncoderHyper:
     dim: int = 64
     heads: int = 4
     blocks: int = 2
-    patch: int = 16
-    tubelet: int = 2
     resolution: int = 64
 
     @property
     def tokens_per_clip(self) -> int:
-        return (CLIP_LEN // self.tubelet) * (self.resolution // self.patch) ** 2
+        return (CLIP_LEN // TUBELET) * (self.resolution // PATCH) ** 2
 
 
 class EncoderModel:
@@ -78,8 +79,7 @@ class EncoderModel:
         self.hyper = hyper
         store = ParamStore(rng_for(seed, "encoder-init"))
         d = hyper.dim
-        tube_dim = hyper.patch * hyper.patch * 3 * hyper.tubelet
-        self.tube_embed = Linear(store, "tube", tube_dim, d)
+        self.tube_embed = Linear(store, "tube", PATCH * PATCH * 3 * TUBELET, d)
         self.pos_embed = store.gaussian("pos_embed", (hyper.tokens_per_clip, d))
         self.trunk = Trunk(store, "trunk", d, hyper.heads, hyper.blocks)
         self.store = store
@@ -90,14 +90,13 @@ class EncoderModel:
         return self.store.params
 
     def _tubelets(self, clips: np.ndarray) -> np.ndarray:
-        h = self.hyper
         b, t = clips.shape[0], clips.shape[1]
         if t != CLIP_LEN:
             raise ValueError(f"clip length {t} != {CLIP_LEN}")
-        patches = patch_grid(clips, h.patch)          # (B, T, P, pd)
+        patches = patch_grid(clips, PATCH)            # (B, T, P, pd)
         p = patches.shape[2]
-        slots = t // h.tubelet
-        patches = patches.reshape(b, slots, h.tubelet, p, -1)
+        slots = t // TUBELET
+        patches = patches.reshape(b, slots, TUBELET, p, -1)
         patches = np.moveaxis(patches, 2, 3)          # (B, slots, P, tubelet, pd)
         return unit_range(patches.reshape(b, slots * p, -1))   # (B, M, tubelet*pd)
 
@@ -112,16 +111,11 @@ class EncoderModel:
             return self.encode(clips).readout()
 
     def save(self, path) -> None:
-        save_checkpoint(path, *model_state(self, meta={"clip_len": CLIP_LEN, "stride": STRIDE,
-                                                       "frozen": float(self.frozen)}))
+        save_checkpoint(path, *model_state(self, meta={**GEOMETRY, "frozen": float(self.frozen)}))
 
     @classmethod
     def load(cls, path) -> "EncoderModel":
-        model, meta, _ = load_model(cls, EncoderHyper, path, *load_checkpoint(path))
-        for name, value in (("clip_len", CLIP_LEN), ("stride", STRIDE)):
-            if meta.get(name) != value:
-                raise CheckpointError(f"{path}: meta field {name!r} is "
-                                      f"{meta.get(name)!r}, not {value}")
+        model, meta, _ = load_model(cls, EncoderHyper, path, *load_checkpoint(path), fixed=GEOMETRY)
         model.frozen = bool(meta.get("frozen", 0.0))
         return model
 

@@ -28,6 +28,8 @@ log = logging.getLogger(__name__)
 ACTION_DIM = 6
 DEFAULT_HORIZON = 8
 LABEL_SEED = 0          # labels are reproducible artifacts
+PATCH = 16              # token patch side, in pixels
+GEOMETRY = {"patch": PATCH}
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,6 @@ class IdmHyper:
     dim: int = 64
     heads: int = 4
     blocks: int = 3
-    patch: int = 16
     horizon: int = DEFAULT_HORIZON
     resolution: int = 64
     euler_steps: int = 8
@@ -47,8 +48,8 @@ class IdmModel:
         self.hyper = hyper
         store = ParamStore(rng_for(seed, "idm-init"))
         d = hyper.dim
-        n_patches = (hyper.resolution // hyper.patch) ** 2
-        patch_dim = hyper.patch * hyper.patch * 3
+        n_patches = (hyper.resolution // PATCH) ** 2
+        patch_dim = PATCH * PATCH * 3
         self.patch_embed = Linear(store, "patch", patch_dim, d)
         self.diff_embed = Linear(store, "diff", patch_dim, d)
         self.frame_embed = store.gaussian("frame_embed", (2, d))
@@ -75,8 +76,8 @@ class IdmModel:
     def frame_tokens(self, frame_a: np.ndarray, frame_b: np.ndarray) -> Tensor:
         """`velocity`'s conditioning: anchor-frame tokens plus frame-difference
         tokens; the difference carries the motion the chunk must explain."""
-        pa = patchify(frame_a, self.hyper.patch)               # (B, P, pd)
-        pb = patchify(frame_b, self.hyper.patch)
+        pa = patchify(frame_a, PATCH)                # (B, P, pd)
+        pb = patchify(frame_b, PATCH)
         emb_a = (self.patch_embed(Tensor(pa)).layer_norm()
                  + self.pos_embed + self.frame_embed[0:1, :])
         emb_d = (self.diff_embed(Tensor(pb - pa)).layer_norm()
@@ -102,12 +103,12 @@ class IdmModel:
     # -- persistence -----------------------------------------------------------
     def save(self, path) -> None:
         save_checkpoint(path, *model_state(self, {"norm/mean": self.norm_mean,
-                                                  "norm/std": self.norm_std}))
+                                                  "norm/std": self.norm_std}, meta=GEOMETRY))
 
     @classmethod
     def load(cls, path) -> "IdmModel":
         model, _, norm = load_model(cls, IdmHyper, path, *load_checkpoint(path),
-                                    ("norm/mean", "norm/std"))
+                                    fixed=GEOMETRY, extra=("norm/mean", "norm/std"))
         model.norm_mean, model.norm_std = norm["norm/mean"], norm["norm/std"]
         if model.norm_mean.shape != (ACTION_DIM,) or model.norm_std.shape != (ACTION_DIM,):
             raise CheckpointError(f"{path}: shape mismatch for the action normalization")

@@ -1,9 +1,10 @@
 """Transformer building blocks on top of the autodiff substrate.
 
-Every model in the package (video encoder, motion probe, inverse dynamics
-model, policy) is a small pre-LN patch-token transformer assembled from these
-pieces. Parameters live in flat name->Tensor dicts so checkpointing and the
-functional gradient API stay trivial.
+The video encoder and the inverse dynamics model are small pre-LN patch-token
+transformers assembled from these pieces; the motion probe is an attention
+pool over encoder tokens, built from the same attention, layer norm and
+linear layers. Parameters live in flat name->Tensor dicts so checkpointing and
+the functional gradient API stay trivial.
 """
 
 from __future__ import annotations

@@ -24,8 +24,7 @@ class AdamW:
     `step` updates the parameter arrays in place.
     """
 
-    def __init__(self, weight_decay: float = WEIGHT_DECAY):
-        self.weight_decay = weight_decay
+    def __init__(self):
         self.first_moment: dict[str, np.ndarray] = {}
         self.second_moment: dict[str, np.ndarray] = {}
         self.step_count = 0
@@ -49,7 +48,7 @@ class AdamW:
             self.second_moment[name] = v
             m_hat = m / (1.0 - b1 ** t)
             v_hat = v / (1.0 - b2 ** t)
-            p[...] = p - lr * (m_hat / (np.sqrt(v_hat) + EPS) + self.weight_decay * p)
+            p[...] = p - lr * (m_hat / (np.sqrt(v_hat) + EPS) + WEIGHT_DECAY * p)
 
 
 def train_step(params: dict[str, Tensor], loss_fn: Callable[[], Tensor],

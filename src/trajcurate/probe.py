@@ -156,12 +156,6 @@ def alignment_prob(logits: np.ndarray) -> np.ndarray:
     return Tensor(logits).sigmoid().data
 
 
-def bce_loss(p, y) -> float:
-    p = np.clip(np.asarray(p, dtype=np.float64), 1e-12, 1.0 - 1e-12)
-    y = np.asarray(y, dtype=np.float64)
-    return float(np.mean(-y * np.log(p) - (1.0 - y) * np.log(1.0 - p)))
-
-
 def _bce_tensor(logits: Tensor, y: np.ndarray) -> Tensor:
     p = logits.sigmoid().clip(1e-12, 1.0 - 1e-12)
     yt = Tensor(y)
@@ -265,7 +259,7 @@ def train_probe(pair_set: PairSet, encoder: EncoderModel,
         report.train_bce.append(float(np.mean(epoch_losses)))
         with no_grad():
             val_logits = probe.forward(z1v, z2v).readout()
-        val_loss = bce_loss(alignment_prob(val_logits), yv)
+        val_loss = _bce_tensor(Tensor(val_logits), yv).item()
         report.val_bce.append(val_loss)
         if val_loss < best_val - 1e-6:
             best_val = val_loss

@@ -130,9 +130,17 @@ class Instruction:
 @dataclass(frozen=True)
 class SceneObject:
     shape: str
-    color: int                   # palette index, never ROBOT_COLOR_INDEX
+    color: int                   # one of SCENE_COLOR_INDICES
     radius: float
     position: tuple[float, float]
+
+    def __post_init__(self):
+        if self.shape not in SHAPES:
+            raise ValueError(f"unknown shape {self.shape!r}")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"radius {self.radius!r} is not finite and positive")
+        if not all(math.isfinite(v) for v in self.position):
+            raise ValueError(f"position {self.position!r} is not finite")
 
     def to_dict(self) -> dict:
         return {"shape": self.shape, "color": int(self.color),
@@ -155,9 +163,10 @@ class SceneSpec:
     def __post_init__(self):
         if not (0.5 <= self.lighting_gain <= 1.5):
             raise ValueError("lighting_gain outside [0.5, 1.5]")
-        for obj in self.objects:
-            if obj.color == ROBOT_COLOR_INDEX:
-                raise ValueError("robot color is reserved")
+        # the robot and zone colors are reserved: no scene element takes them
+        for color in (self.table_color, self.background_color, *(o.color for o in self.objects)):
+            if color not in SCENE_COLOR_INDICES:
+                raise ValueError(f"color {color!r} is not a scene color index")
 
     def to_dict(self) -> dict:
         # background_id, target_index and distractor_count follow from the
@@ -431,10 +440,10 @@ def render(scene: SceneSpec, state: WorldState,
     return img
 
 
-def replay(scene: SceneSpec, init: WorldState, actions,
-           resolution: int = DEFAULT_RESOLUTION) -> np.ndarray:
-    """Video of len(actions)+1 frames; frame k shows the state after k steps."""
-    states = rollout(scene, init, actions)
+def replay(scene: SceneSpec, actions, resolution: int = DEFAULT_RESOLUTION) -> np.ndarray:
+    """Video of len(actions)+1 frames from the scene's initial state; frame k
+    shows the state after k steps."""
+    states = rollout(scene, initial_state(scene), actions)
     return np.stack([render(scene, s, resolution) for s in states])
 
 
@@ -474,8 +483,6 @@ def stack_base_index(scene: SceneSpec, target: int, placement: str) -> int:
 
 def task_success(scene: SceneSpec, states: list[WorldState],
                  instruction: Instruction) -> bool:
-    if instruction.behavior not in BEHAVIORS:
-        raise ValueError(f"unknown behavior {instruction.behavior!r}")
     target = find_target(scene, instruction)
     final = states[-1]
     attached = target in final.attachment

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajcurate import checkpoint
+from trajcurate import checkpoint, encoder, idm
 from trajcurate.checkpoint import CheckpointError, hyper_from_meta
-from trajcurate.encoder import CLIP_LEN, STRIDE, EncoderHyper, EncoderModel
+from trajcurate.encoder import EncoderHyper, EncoderModel
 from trajcurate.idm import IdmHyper, IdmModel
 from trajcurate.probe import ProbeHyper, ProbeModel
 
@@ -91,22 +91,30 @@ def rewrite(path, edit_arrays=None, **meta_changes):
     checkpoint.save_checkpoint(path, arrays, meta={**meta, **meta_changes})
 
 
-@pytest.mark.parametrize("field, value", [("stride", 2), ("clip_len", 8),
-                                          ("stride", None), ("clip_len", None)])
-def test_encoder_load_rejects_meta_clip_geometry(tmp_path, field, value):
-    """Meta that lacks the clip geometry `clip_windows` cuts, or disagrees
-    with it, is rejected; None deletes the field."""
-    path = tmp_path / "encoder.tckp"
-    EncoderModel(EncoderHyper(dim=8, heads=2, blocks=1, resolution=32), seed=1).save(path)
+@pytest.mark.parametrize("module, field, value", [
+    pytest.param(module, field, value, id=f"{prefix}{field}-{value}")
+    for module, prefix, field, value in [
+        (encoder, "", "stride", 2), (encoder, "", "stride", None),
+        (encoder, "", "clip_len", 8), (encoder, "", "clip_len", None),
+        (encoder, "", "patch", 8), (encoder, "", "patch", None),
+        (encoder, "", "tubelet", 1), (encoder, "", "tubelet", None),
+        (idm, "idm-", "patch", 8), (idm, "idm-", "patch", None)]])
+def test_encoder_load_rejects_meta_clip_geometry(tmp_path, module, field, value):
+    """Meta that lacks the clip and token geometry the encoder's module fixes,
+    or the IDM's patch, or disagrees with it, is rejected; None deletes the
+    field."""
+    cls = EncoderModel if module is encoder else IdmModel
+    path = tmp_path / "model.tckp"
+    cls(dict(MODELS)[cls], seed=1).save(path)
     arrays, meta = checkpoint.load_checkpoint(path)
-    assert (meta["clip_len"], meta["stride"]) == (CLIP_LEN, STRIDE)
+    assert {name: meta[name] for name in module.GEOMETRY} == module.GEOMETRY
     if value is None:
         del meta[field]
     else:
         meta[field] = value
     checkpoint.save_checkpoint(path, arrays, meta=meta)
     with pytest.raises(CheckpointError, match=field):
-        EncoderModel.load(path)
+        cls.load(path)
 
 
 @pytest.mark.parametrize("cls, hyper", MODELS)

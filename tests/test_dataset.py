@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajcurate import dataset, records, sim
+from trajcurate import dataset, encoder, records, sim
 from trajcurate.dataset import Episode
 from trajcurate.sim import Instruction, SceneObject, SceneSpec
 
@@ -84,7 +84,7 @@ def test_collect_demos_all_succeed_and_replay():
         assert ep.embodiment == "real"
         states = sim.rollout(ep.scene, sim.initial_state(ep.scene), ep.actions)
         assert sim.task_success(ep.scene, states, ep.instruction)
-        video = sim.replay(ep.scene, sim.initial_state(ep.scene), ep.actions)
+        video = sim.replay(ep.scene, ep.actions)
         assert np.array_equal(video, ep.frames)
 
 
@@ -187,6 +187,40 @@ def test_misshapen_actions_record_detected(tmp_path):
         for name, kind, dims, payload in recs])
     with pytest.raises(dataset.DatasetError):
         dataset.read_episode(path)
+
+
+SCENE_FAULTS = {
+    "robot_table": lambda d: d.update(table_color=sim.ROBOT_COLOR_INDEX),
+    "negative_background": lambda d: d.update(background_color=-1),
+    "hexagon": lambda d: d["objects"][0].update(shape="hexagon"),
+    "object_color_99": lambda d: d["objects"][0].update(color=99),
+    "nan_position": lambda d: d["objects"][0].update(position=[float("nan"), 0.35]),
+    "nan_radius": lambda d: d["objects"][0].update(radius=float("nan")),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SCENE_FAULTS))
+def test_scene_fault_in_file_detected(tmp_path, fault):
+    """A well-formed file whose scene could not have been drawn is rejected
+    on read, not when its scene is first rendered."""
+    path = tmp_path / "ep.ntrj"
+    dataset.write_episode(make_episode(), path)
+    recs = records.read_records(path.read_bytes(), dataset.MAGIC, dataset.VERSION, True)
+    scene = tiny_scene().to_dict()
+    SCENE_FAULTS[fault](scene)
+    payload = json.dumps(scene).encode()
+    records.write_records(path, dataset.MAGIC, dataset.VERSION, [
+        ("scene", kind, (len(payload),), payload) if name == "scene" else (name, kind, dims, data)
+        for name, kind, dims, data in recs])
+    with pytest.raises(dataset.DatasetError):
+        dataset.read_episode(path)
+
+
+def test_min_demo_frames_yield_two_clip_windows():
+    """`build_pairs` draws its shift negatives from a second window of the
+    same demo."""
+    video = np.zeros((dataset.MIN_DEMO_FRAMES, 16, 16, 3), np.uint8)
+    assert len(encoder.clip_windows(video)) >= 2
 
 
 def test_bad_magic_detected(tmp_path):

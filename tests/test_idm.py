@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from trajcurate import flow, idm, optim, sim
 from trajcurate.seeding import derive_seed
 
-TINY = idm.IdmHyper(dim=16, heads=2, blocks=1, patch=16, horizon=4,
+TINY = idm.IdmHyper(dim=16, heads=2, blocks=1, horizon=4,
                     resolution=32, euler_steps=2, sample_avg=2)
 
 

@@ -12,7 +12,9 @@ from trajcurate import flow, idm, sim
 from trajcurate.encoder import (
     CLIP_LEN,
     GRID_STEP,
+    PATCH,
     STRIDE,
+    TUBELET,
     EncoderHyper,
     EncoderModel,
     clip_windows,
@@ -110,13 +112,12 @@ def test_tubelets_match_patches_scaled_first():
     """The tubelets are rearranged as uint8 and scaled once; the bytes are
     those of scaling every pixel first and rearranging the floats."""
     model = EncoderModel(TINY_ENCODER, seed=0)
-    h = model.hyper
     clips = np.random.default_rng(2).integers(0, 256, size=(3, CLIP_LEN, 32, 32, 3),
                                               dtype=np.uint8)
     patches = np.asarray(clips, dtype=np.float64) / 127.5 - 1.0
-    patches = np.moveaxis(patches.reshape(3, CLIP_LEN, 2, h.patch, 2, h.patch, 3), 3, 4)
-    patches = patches.reshape(3, CLIP_LEN // h.tubelet, h.tubelet, 4, -1)
-    expected = np.moveaxis(patches, 2, 3).reshape(3, h.tokens_per_clip, -1)
+    patches = np.moveaxis(patches.reshape(3, CLIP_LEN, 2, PATCH, 2, PATCH, 3), 3, 4)
+    patches = patches.reshape(3, CLIP_LEN // TUBELET, TUBELET, 4, -1)
+    expected = np.moveaxis(patches, 2, 3).reshape(3, model.hyper.tokens_per_clip, -1)
     assert model._tubelets(clips).tobytes() == expected.tobytes()
 
 
@@ -133,8 +134,7 @@ def test_replay_windows_equal_the_clips_of_the_full_replay(n_actions, n_windows)
     rng = np.random.default_rng(n_actions)
     scene = sim.sample_scene(rng)
     actions = random_actions(n_actions, rng)
-    full = clip_windows(sim.replay(sim.canonical_scene(scene), sim.initial_state(scene),
-                                   actions, 32))
+    full = clip_windows(sim.replay(sim.canonical_scene(scene), actions, 32))
     windows = _replay_windows(scene, actions, 32)
     assert len(windows) == n_windows
     assert windows.shape == full.shape

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from trajcurate.idm import IdmHyper
+from trajcurate.idm import PATCH, IdmHyper
 from trajcurate.nn import ParamStore, TransformerBlock, Trunk, patchify
 from trajcurate.tensor import Tensor, finite_diff_grad, no_grad
 
@@ -24,7 +24,7 @@ def test_trunk_keep_equals_last_rows_of_full_trunk():
     """Graph on or off, pruned or not, the rows equal those of the full
     trunk built with a graph (the training path)."""
     hyper = IdmHyper()
-    n_tokens = 2 * (hyper.resolution // hyper.patch) ** 2 + hyper.horizon
+    n_tokens = 2 * (hyper.resolution // PATCH) ** 2 + hyper.horizon
     store = ParamStore(np.random.default_rng(0))
     trunk = Trunk(store, "trunk", hyper.dim, hyper.heads, hyper.blocks)
     randomized(store, seed=1, scale=0.2)

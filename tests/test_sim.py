@@ -288,7 +288,7 @@ def test_render_backdrop_cache_does_not_leak_between_scenes():
 
 def test_replay_empty_actions_single_frame():
     scene = two_object_scene()
-    video = sim.replay(scene, sim.initial_state(scene), [])
+    video = sim.replay(scene, [])
     assert video.shape[0] == 1
 
 
@@ -296,8 +296,8 @@ def test_replay_deterministic_and_length_law():
     scene = two_object_scene()
     rng = np.random.default_rng(2)
     actions = rng.uniform(-0.1, 0.1, size=(17, 6))
-    v1 = sim.replay(scene, sim.initial_state(scene), actions)
-    v2 = sim.replay(scene, sim.initial_state(scene), actions)
+    v1 = sim.replay(scene, actions)
+    v2 = sim.replay(scene, actions)
     assert np.array_equal(v1, v2)
     assert len(v1) == len(actions) + 1
 
@@ -354,3 +354,23 @@ def test_canonical_scene_preserves_geometry():
 def test_scene_rejects_robot_color():
     with pytest.raises(ValueError):
         make_scene([SceneObject("circle", sim.ROBOT_COLOR_INDEX, 0.05, (0.4, 0.4))])
+
+
+@pytest.mark.parametrize("table, bg, color", [
+    (sim.ROBOT_COLOR_INDEX, 10, 1), (8, -1, 1), (13, 10, 1), (8, 15, 1), (8, 10, 99)])
+def test_scene_rejects_colors_outside_the_scene_indices(table, bg, color):
+    """The robot color would break the robot-pixel rule, -1 would index the
+    palette from its end, and 99 fails only when rendered."""
+    with pytest.raises(ValueError, match="scene color"):
+        make_scene([SceneObject("circle", color, 0.05, (0.4, 0.4))], table=table, bg=bg)
+
+
+@pytest.mark.parametrize("shape, radius, position", [
+    ("hexagon", 0.05, (0.4, 0.4)),
+    ("circle", math.nan, (0.4, 0.4)), ("circle", math.inf, (0.4, 0.4)),
+    ("circle", 0.0, (0.4, 0.4)), ("circle", -0.05, (0.4, 0.4)),
+    ("circle", 0.05, (math.nan, 0.4)), ("circle", 0.05, (0.4, -math.inf))])
+def test_scene_object_rejects_unknown_shape_and_bad_geometry(shape, radius, position):
+    """An unknown shape would render as a triangle; a NaN fails only when rendered."""
+    with pytest.raises(ValueError):
+        SceneObject(shape, 1, radius, position)

@@ -207,8 +207,7 @@ def test_remap_frames_on_a_read_only_clip_window():
     writable uint8 array, and the window is left as it was."""
     scene = make_scene()
     rng = np.random.default_rng(4)
-    video = sim.replay(scene, sim.initial_state(scene),
-                       rng.uniform(-0.1, 0.1, (79, 6)), 32)
+    video = sim.replay(scene, rng.uniform(-0.1, 0.1, (79, 6)), 32)
     window = clip_windows(video)[1]
     assert not window.flags.writeable and not window.flags.c_contiguous
     before = window.copy()
@@ -270,7 +269,7 @@ def test_clean_generation_matches_expert_replay():
     scene = make_scene()
     spec = CorruptionSpec("none", 0.0, seed=1)
     sample = synthgen.generate_neural_video(scene, instr(), spec, seed=10)
-    video = sim.replay(scene, sim.initial_state(scene), sample.hidden_actions)
+    video = sim.replay(scene, sample.hidden_actions)
     assert np.array_equal(sample.video, video)
     assert succeeds(sample, instr())
 
