@@ -170,13 +170,9 @@ class _Controller:
             self._emit(np.clip(deltas, -A_MAX, A_MAX), self.hold_grip())
         raise ExpertFailure(f"waypoint {point} not reached")
 
-    def set_grip(self, value: float) -> None:
-        for _ in range(GRIP_STEPS):
-            self._emit(np.zeros(2), value)
-
-    def dwell(self) -> None:
-        for _ in range(DWELL_STEPS):
-            self._emit(np.zeros(2), self.hold_grip())
+    def hold(self, grip: float, steps: int) -> None:
+        for _ in range(steps):
+            self._emit(np.zeros(2), grip)
 
 
 def scripted_expert(scene: SceneSpec, instruction: Instruction, seed: int,
@@ -196,41 +192,36 @@ def scripted_expert(scene: SceneSpec, instruction: Instruction, seed: int,
     start = ctl.state
 
     obj_pos = np.array(scene.objects[target].position)
-    jitter = lambda s: rng.normal(0.0, s, size=2)
+    if instruction.behavior == "stack":
+        base = sim.stack_base_index(scene, target, instruction.placement)
+        anchor = np.array(scene.objects[base].position)
+    else:
+        anchor = sim.zone_center(instruction.placement)
+    jitter = {"pick_place": 0.015, "push": 0.012, "stack": 0.008}[instruction.behavior]
+    goal = anchor + rng.normal(0.0, jitter, size=2)
 
     if instruction.behavior == "push":
-        goal = sim.zone_center(instruction.placement) + jitter(0.012)
         direction = goal - obj_pos
         direction = direction / max(float(np.hypot(*direction)), 1e-9)
         ctl.move_to(obj_pos - 0.11 * direction, tol=0.03)
-        ctl.move_to(obj_pos, tol=0.012)
-        ctl.set_grip(1.0)
-        if ctl.state.attachment[arm] != target:
-            raise ExpertFailure("grasp missed")
-        ctl.move_to(goal, tol=0.02)
-        ctl.set_grip(0.0)
-    else:
-        if instruction.behavior == "pick_place":
-            goal = sim.zone_center(instruction.placement) + jitter(0.015)
-        else:  # stack
-            base = sim.stack_base_index(scene, target, instruction.placement)
-            goal = np.array(scene.objects[base].position) + jitter(0.008)
-        ctl.move_to(obj_pos, tol=0.012)
-        ctl.set_grip(1.0)
-        if ctl.state.attachment[arm] != target:
-            raise ExpertFailure("grasp missed")
+    ctl.move_to(obj_pos, tol=0.012)
+    ctl.hold(1.0, GRIP_STEPS)
+    if ctl.state.attachment[arm] != target:
+        raise ExpertFailure("grasp missed")
+    if instruction.behavior != "push":
+        # carry via a waypoint beside the straight line to the goal
         mid = (sim.effector_position(ctl.state, arm) + goal) / 2.0
         perp = np.array([-(goal - obj_pos)[1], (goal - obj_pos)[0]])
         norm = float(np.hypot(*perp))
         if norm > 1e-9:
             mid = mid + perp / norm * 0.07
         ctl.move_to(mid, tol=0.05)
-        ctl.move_to(goal, tol=0.02)
-        ctl.set_grip(0.0)
+    ctl.move_to(goal, tol=0.02)
+    ctl.hold(0.0, GRIP_STEPS)
 
     retreat = np.array([sim.ARM_BASES[arm][0], 0.18])
     ctl.move_to(retreat, tol=0.08)
-    ctl.dwell()
+    ctl.hold(ctl.hold_grip(), DWELL_STEPS)
 
     # sim.step never mutates its input, so the controller's state is the last
     # state of a rollout of its actions, and the oracle reads only the ends

@@ -19,40 +19,17 @@ from .seeding import rng_for
 from .tensor import Tensor
 
 
-def _expand_time(t, ndim: int):
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim == 0:
-        return t
-    return t.reshape(t.shape + (1,) * (ndim - 1))
-
-
-def interpolate(x: np.ndarray, eps: np.ndarray, t) -> np.ndarray:
-    """(1-t)*x + t*eps elementwise; t scalar or per-item along axis 0."""
-    x = np.asarray(x, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    if x.shape != eps.shape:
-        raise ValueError("shape mismatch between data and noise")
-    tt = _expand_time(t, x.ndim)
-    if np.any((tt < 0) | (tt > 1)):
-        raise ValueError("interpolation time outside [0, 1]")
+def interpolate(x: np.ndarray, eps: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(1-t)*x + t*eps elementwise, with one time per item along axis 0."""
+    tt = t.reshape(t.shape + (1,) * (x.ndim - 1))
     return (1.0 - tt) * x + tt * eps
 
 
-def velocity_target(x: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    if x.shape != eps.shape:
-        raise ValueError("shape mismatch between data and noise")
-    return eps - x
-
-
-def fm_loss(v_pred, x, eps) -> Tensor:
-    """Mean squared error against the velocity target; differentiable in v_pred."""
-    target = velocity_target(x, eps)
-    v_pred = v_pred if isinstance(v_pred, Tensor) else Tensor(v_pred)
-    if v_pred.shape != target.shape:
+def fm_loss(v_pred: Tensor, x: np.ndarray, eps: np.ndarray) -> Tensor:
+    """Mean squared error against the target eps - x; differentiable in v_pred."""
+    if v_pred.shape != x.shape:
         raise ValueError("prediction shape differs from target")
-    diff = v_pred - Tensor(target)
+    diff = v_pred - Tensor(eps - x)
     return (diff * diff).mean()
 
 

@@ -28,13 +28,8 @@ class ParamStore:
         self.params[name] = t
         return t
 
-    def zeros(self, name: str, shape: tuple[int, ...]) -> Tensor:
-        t = Tensor(np.zeros(shape), requires_grad=True)
-        self.params[name] = t
-        return t
-
-    def ones(self, name: str, shape: tuple[int, ...]) -> Tensor:
-        t = Tensor(np.ones(shape), requires_grad=True)
+    def constant(self, name: str, shape: tuple[int, ...], value: float) -> Tensor:
+        t = Tensor(np.full(shape, value), requires_grad=True)
         self.params[name] = t
         return t
 
@@ -57,7 +52,7 @@ class ParamStore:
 class Linear:
     def __init__(self, store: ParamStore, name: str, d_in: int, d_out: int):
         self.w = store.gaussian(f"{name}.w", (d_in, d_out))
-        self.b = store.zeros(f"{name}.b", (d_out,))
+        self.b = store.constant(f"{name}.b", (d_out,), 0.0)
 
     def __call__(self, x: Tensor) -> Tensor:
         y = x @ self.w
@@ -69,8 +64,8 @@ class Linear:
 
 class LayerNorm:
     def __init__(self, store: ParamStore, name: str, dim: int):
-        self.gamma = store.ones(f"{name}.g", (dim,))
-        self.beta = store.zeros(f"{name}.b", (dim,))
+        self.gamma = store.constant(f"{name}.g", (dim,), 1.0)
+        self.beta = store.constant(f"{name}.b", (dim,), 0.0)
 
     def __call__(self, x: Tensor) -> Tensor:
         return x.layer_norm() * self.gamma + self.beta

@@ -102,14 +102,11 @@ class Instruction:
     hand: str
 
     def __post_init__(self):
-        if self.behavior not in BEHAVIORS:
-            raise ValueError(f"unknown behavior {self.behavior!r}")
-        if self.target_shape not in SHAPES:
-            raise ValueError(f"unknown shape {self.target_shape!r}")
-        if self.placement not in PLACEMENTS:
-            raise ValueError(f"unknown placement {self.placement!r}")
-        if self.hand not in HANDS:
-            raise ValueError(f"unknown hand {self.hand!r}")
+        for name, allowed in (("behavior", BEHAVIORS), ("target_shape", SHAPES),
+                              ("target_color", SCENE_COLOR_INDICES),
+                              ("placement", PLACEMENTS), ("hand", HANDS)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}")
 
     def to_dict(self) -> dict:
         return {"behavior": self.behavior, "target_shape": self.target_shape,
@@ -192,10 +189,6 @@ class WorldState:
     gripper: np.ndarray          # (2,) in [0, 1], >= 0.5 closed
     object_poses: np.ndarray     # (n, 2)
     attachment: tuple[int | None, int | None]   # object id per arm
-
-    def copy(self) -> "WorldState":
-        return WorldState(self.joints.copy(), self.gripper.copy(),
-                          self.object_poses.copy(), self.attachment)
 
     def proprio(self) -> np.ndarray:
         """6-dim proprioceptive vector: four joint angles then two grippers."""
@@ -285,7 +278,8 @@ def step(state: WorldState, action) -> WorldState:
 
 
 def rollout(scene: SceneSpec, init: WorldState, actions) -> list[WorldState]:
-    states = [init.copy()]
+    """`init`, then the state after each action; `step` never writes into a state."""
+    states = [init]
     for act in actions:
         states.append(step(states[-1], act))
     return states

@@ -114,16 +114,13 @@ def edit_initial_scene(scene: SceneSpec, axes: Iterable[str],
     used = {scene.table_color, scene.background_color,
             *(o.color for o in scene.objects)}
     out = scene
-    if "table" in axes:
-        new = _pick_color(rng, used)
-        used.discard(out.table_color)
-        used.add(new)
-        out = replace(out, table_color=new)
-    if "background" in axes:
-        new = _pick_color(rng, used)
-        used.discard(out.background_color)
-        used.add(new)
-        out = replace(out, background_color=new)
+    for axis in ("table", "background"):
+        if axis in axes:
+            name = f"{axis}_color"
+            new = _pick_color(rng, used)
+            used.discard(getattr(out, name))
+            used.add(new)
+            out = replace(out, **{name: new})
     if "lighting" in axes:
         out = replace(out, lighting_gain=float(rng.uniform(0.5, 1.5)))
     if "target_object" in axes and out.objects:
@@ -139,10 +136,9 @@ def edit_initial_scene(scene: SceneSpec, axes: Iterable[str],
 
 def apply_palette_map(scene: SceneSpec, palette_map: dict[int, int],
                       new_gain: float) -> SceneSpec:
-    if sim.ROBOT_COLOR_INDEX in palette_map:
-        raise ValueError("palette map must not remap the reserved robot color")
-    if sim.ROBOT_COLOR_INDEX in palette_map.values():
-        raise ValueError("palette map must not introduce the reserved robot color")
+    if sim.ROBOT_COLOR_INDEX in (*palette_map, *palette_map.values()):
+        raise ValueError("palette map must not remap or introduce the reserved "
+                         "robot color")
     remap = lambda c: palette_map.get(c, c)
     objects = tuple(replace(o, color=remap(o.color)) for o in scene.objects)
     return replace(scene, table_color=remap(scene.table_color),

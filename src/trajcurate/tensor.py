@@ -1,7 +1,7 @@
 """Minimal reverse-mode autodiff over dense float64 numpy arrays.
 
 The op set is deliberately small: elementwise arithmetic, matmul, reductions,
-reshape/transpose/concat/slice and indexing, log, sigmoid, GELU,
+reshape/swapaxes/concat/slice and indexing, log, sigmoid, GELU,
 softmax, log-softmax, and scaled dot-product multi-head attention. Row lookup
 is plain advanced indexing (`table[idx]`), whose gradient scatter-adds.
 Everything trainable in this package is a patch-token transformer built from
@@ -240,19 +240,10 @@ class Tensor:
             self._accumulate(g.reshape(self.shape))
         return _op(self.data.reshape(shape), (self,), backward)
 
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        inv = np.argsort(axes)
-
-        def backward(g):
-            self._accumulate(g.transpose(inv))
-        return _op(self.data.transpose(axes), (self,), backward)
-
     def swapaxes(self, a: int, b: int):
-        axes = list(range(self.ndim))
-        axes[a], axes[b] = axes[b], axes[a]
-        return self.transpose(tuple(axes))
+        def backward(g):
+            self._accumulate(g.swapaxes(a, b))
+        return _op(self.data.swapaxes(a, b), (self,), backward)
 
     def __getitem__(self, key):
         parts = key if isinstance(key, tuple) else (key,)

@@ -216,6 +216,23 @@ def test_scene_fault_in_file_detected(tmp_path, fault):
         dataset.read_episode(path)
 
 
+def test_instruction_targeting_the_robot_color_in_file_detected(tmp_path):
+    """A file whose instruction names the robot colour, which no scene object
+    takes, is rejected on read."""
+    path = tmp_path / "ep.ntrj"
+    dataset.write_episode(dataset.collect_demos(1, seed=3)[0], path)
+    recs = records.read_records(path.read_bytes(), dataset.MAGIC, dataset.VERSION, True)
+    instruction = json.loads(bytes(next(data for name, _, _, data in recs
+                                        if name == "instruction")))
+    instruction["target_color"] = sim.ROBOT_COLOR_INDEX
+    payload = json.dumps(instruction).encode()
+    records.write_records(path, dataset.MAGIC, dataset.VERSION, [
+        ("instruction", kind, (len(payload),), payload) if name == "instruction"
+        else (name, kind, dims, data) for name, kind, dims, data in recs])
+    with pytest.raises(dataset.DatasetError, match="unknown target_color 0"):
+        dataset.read_episode(path)
+
+
 def test_min_demo_frames_yield_two_clip_windows():
     """`build_pairs` draws its shift negatives from a second window of the
     same demo."""

@@ -9,7 +9,6 @@ from trajcurate.flow import (
     fm_loss,
     interpolate,
     train_fm,
-    velocity_target,
 )
 from trajcurate.optim import LrSchedule
 from trajcurate.tensor import Tensor, autodiff_grad, finite_diff_grad
@@ -18,15 +17,17 @@ from trajcurate.tensor import Tensor, autodiff_grad, finite_diff_grad
 def test_interpolate_endpoints():
     rng = np.random.default_rng(0)
     x, eps = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-    assert np.array_equal(interpolate(x, eps, 0.0), x)
-    assert np.array_equal(interpolate(x, eps, 1.0), eps)
-    assert np.allclose(interpolate(x, eps, 0.5), (x + eps) / 2)
+    assert np.array_equal(interpolate(x, eps, np.zeros(4)), x)
+    assert np.array_equal(interpolate(x, eps, np.ones(4)), eps)
+    assert np.allclose(interpolate(x, eps, np.full(4, 0.5)), (x + eps) / 2)
 
 
-def test_interpolate_rejects_bad_time():
-    x = np.zeros((2, 2))
-    with pytest.raises(ValueError):
-        interpolate(x, x, 1.5)
+def test_interpolate_per_item_time():
+    rng = np.random.default_rng(0)
+    x, eps = rng.normal(size=(2, 3, 2)), rng.normal(size=(2, 3, 2))
+    out = interpolate(x, eps, np.array([0.0, 1.0]))
+    assert np.array_equal(out[0], x[0])
+    assert np.array_equal(out[1], eps[1])
 
 
 @settings(max_examples=20, deadline=None)
@@ -34,31 +35,25 @@ def test_interpolate_rejects_bad_time():
 def test_interpolate_affine_in_time(a, b):
     rng = np.random.default_rng(1)
     x, eps = rng.normal(size=(3,)), rng.normal(size=(3,))
-    mid = interpolate(x, eps, (a + b) / 2)
-    avg = (interpolate(x, eps, a) + interpolate(x, eps, b)) / 2
+    mid = interpolate(x, eps, np.full(3, (a + b) / 2))
+    avg = (interpolate(x, eps, np.full(3, a)) + interpolate(x, eps, np.full(3, b))) / 2
     assert np.allclose(mid, avg, atol=1e-12)
-
-
-def test_velocity_target_identities():
-    rng = np.random.default_rng(2)
-    x, eps = rng.normal(size=(5,)), rng.normal(size=(5,))
-    assert np.array_equal(velocity_target(x, x), np.zeros(5))
-    assert np.array_equal(velocity_target(np.zeros(5), eps), eps)
-    assert np.allclose(velocity_target(x, eps) + x, eps)
 
 
 def test_fm_loss_values():
     x = np.zeros(3)
     eps = np.array([1.0, 2.0, 3.0])
-    assert fm_loss(eps - x, x, eps).item() == 0.0
-    assert fm_loss(eps - x + 1.0, x, eps).item() == pytest.approx(1.0)
-    assert fm_loss(np.zeros(3), x, eps).item() == pytest.approx(14.0 / 3.0)
+    assert fm_loss(Tensor(eps - x), x, eps).item() == 0.0
+    assert fm_loss(Tensor(eps - x + 1.0), x, eps).item() == pytest.approx(1.0)
+    assert fm_loss(Tensor(np.zeros(3)), x, eps).item() == pytest.approx(14.0 / 3.0)
+    with pytest.raises(ValueError):
+        fm_loss(Tensor(np.zeros(2)), x, eps)
 
 
 def test_fm_loss_nonnegative_zero_iff_exact():
     rng = np.random.default_rng(3)
     x, eps = rng.normal(size=(4,)), rng.normal(size=(4,))
-    v = eps - x
+    v = Tensor(eps - x)
     assert fm_loss(v, x, eps).item() == 0.0
     assert fm_loss(v + 1e-3, x, eps).item() > 0.0
 

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in it or listed in __all__, and
-every package function reads each of its parameters."""
+"""Every name a package module imports is used in it or listed in __all__,
+every package function reads each of its parameters, and every public
+function or class of the package is named somewhere."""
 
 import ast
 from pathlib import Path
@@ -98,3 +99,82 @@ def test_no_unread_parameters(path):
     unread = [(func, param, line) for func, param, line in unread_parameters(tree)
               if (path.name, func, param) not in UNREAD_PARAMETERS_ALLOWED]
     assert not unread, f"{path.name} has parameters its functions never read: {unread}"
+
+
+BENCH = PACKAGE.parent.parent / "bench"
+
+# Public names nothing calls yet, with the reason each is kept: entry points
+# that the unbuilt curation stage of ROADMAP item 4 is to call, and gradient
+# oracles that serve the tests alone.
+ENTRY_POINT, TEST_ORACLE = "ROADMAP item 4 entry point", "test oracle"
+UNCALLED_ALLOWED = {
+    "collect_demos": ENTRY_POINT,
+    "save_dataset": ENTRY_POINT,
+    "load_dataset": ENTRY_POINT,
+    "edit_initial_scene": ENTRY_POINT,
+    "propose_instructions": ENTRY_POINT,
+    "sample_to_episode": ENTRY_POINT,
+    "episode_to_sample": ENTRY_POINT,
+    "autodiff_grad": TEST_ORACLE,
+    "finite_diff_grad": TEST_ORACLE,
+}
+
+
+def named(tree: ast.Module) -> set[str]:
+    """Every name a module reads, imports or writes as a dotted string, such
+    as the "EncoderModel.encode" boundaries of bench/spans.py. The strings of
+    `__all__` declare names rather than use them, so they do not count."""
+    out = set()
+
+    def visit(node):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                out.update(parts)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return out
+
+
+def uncalled_public_names(package: dict[str, ast.Module],
+                          others: list[ast.Module]) -> set[str]:
+    """Public top-level functions and classes of `package` that no module,
+    their own included, names outside their definition."""
+    seen = set().union(*map(named, [*package.values(), *others]))
+    return {node.name for tree in package.values() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in seen}
+
+
+def test_checker_flags_an_uncalled_public_name():
+    package = {"a.py": ast.parse("__all__ = ['f', 'g']\ndef f():\n    pass\n"
+                                 "def g():\n    return f()\ndef _p():\n    pass\n"
+                                 "class C:\n    pass\nclass D:\n    pass\n"
+                                 "class E:\n    def m(self):\n        pass\n"),
+               "b.py": ast.parse("from a import C\n")}
+    others = [ast.parse("BOUNDARIES = (('a', 'E.m'),)\n")]
+    assert uncalled_public_names(package, others) == {"g", "D"}
+
+
+def test_every_public_name_has_a_caller():
+    """A public function or class that nothing names is dead code, unless the
+    allowlist above gives it a reason. A listed name that gains a caller
+    leaves the list, so the list only shrinks."""
+    package = {p.name: ast.parse(p.read_text(), filename=str(p))
+               for p in sorted(PACKAGE.glob("*.py"))}
+    others = [ast.parse(p.read_text(), filename=str(p)) for p in sorted(BENCH.glob("*.py"))]
+    uncalled = uncalled_public_names(package, others)
+    allowed = set(UNCALLED_ALLOWED)
+    assert not uncalled - allowed, f"public names nothing names: {sorted(uncalled - allowed)}"
+    assert not allowed - uncalled, f"allowlisted names with a caller: {sorted(allowed - uncalled)}"

@@ -334,7 +334,7 @@ def built_from(leaves, build):
         return leaves[name]
 
     with pytest.MonkeyPatch.context() as mp:
-        for init in ("gaussian", "zeros", "ones"):
+        for init in ("gaussian", "constant"):
             mp.setattr(ParamStore, init, take)
         return build()
 

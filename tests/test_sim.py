@@ -374,3 +374,16 @@ def test_scene_object_rejects_unknown_shape_and_bad_geometry(shape, radius, posi
     """An unknown shape would render as a triangle; a NaN fails only when rendered."""
     with pytest.raises(ValueError):
         SceneObject(shape, 1, radius, position)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("behavior", "throw"), ("target_shape", "hexagon"),
+    ("target_color", sim.ROBOT_COLOR_INDEX), ("target_color", 13),
+    ("target_color", 99), ("placement", "floor"), ("hand", "both")])
+def test_instruction_rejects_unknown_values(field, value):
+    """No scene object takes the robot or a zone colour, so an instruction
+    naming one could never be carried out."""
+    fields = {"behavior": "pick_place", "target_shape": "circle", "target_color": 1,
+              "placement": "plate", "hand": "left", field: value}
+    with pytest.raises(ValueError, match=f"unknown {field}"):
+        Instruction(**fields)
