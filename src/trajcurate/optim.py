@@ -21,7 +21,7 @@ class AdamW:
     """AdamW with per-parameter moments and a shared step count.
 
     Decay is decoupled: p <- p - lr*wd*p, not folded into the gradients.
-    `step` updates the parameter arrays in place.
+    `step` updates the moments and the parameter arrays in place.
     """
 
     def __init__(self):
@@ -41,14 +41,17 @@ class AdamW:
             if g.shape != p.shape:
                 raise ValueError(f"gradient shape {g.shape} != param shape {p.shape} for {name!r}")
             if name not in self.first_moment:
-                self.first_moment[name] = self.second_moment[name] = np.zeros_like(p)
-            m = b1 * self.first_moment[name] + (1.0 - b1) * g
-            v = b2 * self.second_moment[name] + (1.0 - b2) * g * g
-            self.first_moment[name] = m
-            self.second_moment[name] = v
-            m_hat = m / (1.0 - b1 ** t)
-            v_hat = v / (1.0 - b2 ** t)
-            p[...] = p - lr * (m_hat / (np.sqrt(v_hat) + EPS) + WEIGHT_DECAY * p)
+                self.first_moment[name], self.second_moment[name] = np.zeros_like(p), np.zeros_like(p)
+            m, v = self.first_moment[name], self.second_moment[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            # p - lr * (m_hat / (sqrt(v_hat) + EPS) + WEIGHT_DECAY * p), in that order
+            update = m / (1.0 - b1 ** t)
+            update /= np.sqrt(v / (1.0 - b2 ** t)) + EPS
+            update += WEIGHT_DECAY * p
+            p -= lr * update
 
 
 def train_step(params: dict[str, Tensor], loss_fn: Callable[[], Tensor],

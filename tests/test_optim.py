@@ -73,3 +73,36 @@ def test_schedule_validation():
         LrSchedule(base_lr=0.0, total_steps=10, stable_steps=5)
     with pytest.raises(ValueError):
         LrSchedule(base_lr=1e-4, total_steps=10, stable_steps=11)
+
+
+def reference_adamw(params, grads, lrs, b1=0.9, b2=0.999, eps=1e-8):
+    """AdamW as written with new arrays at every step; the in-place step
+    must give the same bytes."""
+    m = {k: np.zeros_like(p) for k, p in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
+    params = {k: p.copy() for k, p in params.items()}
+    for t, (g, lr) in enumerate(zip(grads, lrs), start=1):
+        for k in params:
+            m[k] = b1 * m[k] + (1.0 - b1) * g[k]
+            v[k] = b2 * v[k] + (1.0 - b2) * g[k] * g[k]
+            m_hat = m[k] / (1.0 - b1 ** t)
+            v_hat = v[k] / (1.0 - b2 ** t)
+            params[k] = params[k] - lr * (m_hat / (np.sqrt(v_hat) + eps) + WEIGHT_DECAY * params[k])
+    return params, m, v
+
+
+def test_adamw_in_place_matches_reference_bytes():
+    rng = np.random.default_rng(11)
+    params = {"w": rng.normal(size=(5, 3)), "b": rng.normal(size=(3,))}
+    grads = [{k: rng.normal(0.0, 10.0 ** -s, size=p.shape) for k, p in params.items()}
+             for s in range(6)]
+    lrs = [1e-3, 3e-4, 1e-2, 1e-3, 5e-4, 1e-4]
+    expected, m, v = reference_adamw(params, grads, lrs)
+    opt = AdamW()
+    for g, lr in zip(grads, lrs):
+        opt.step(params, g, lr)
+    for k in params:
+        assert params[k].tobytes() == expected[k].tobytes(), k
+        assert opt.first_moment[k].tobytes() == m[k].tobytes(), k
+        assert opt.second_moment[k].tobytes() == v[k].tobytes(), k
+        assert not np.shares_memory(opt.first_moment[k], opt.second_moment[k]), k
