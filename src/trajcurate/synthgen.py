@@ -256,10 +256,11 @@ def _attachment_frames(states: list[WorldState]) -> list[int]:
 
 
 def _shift_object(state: WorldState, obj: int, delta: np.ndarray) -> WorldState:
+    """`state` with one object moved; nothing writes into a state's arrays,
+    so the new state shares all but `object_poses`."""
     poses = state.object_poses.copy()
     poses[obj] = poses[obj] + delta
-    return WorldState(state.joints.copy(), state.gripper.copy(), poses,
-                      state.attachment)
+    return replace(state, object_poses=poses)
 
 
 def _corrupt_states(states: list[WorldState], target: int,

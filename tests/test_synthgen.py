@@ -331,16 +331,25 @@ def test_tele_grab_shortens_and_creates_jump():
     assert effector_jump(cut) > effector_jump(clean) * 2
 
 
+def state_bytes(states):
+    return [b"".join(a.tobytes() for a in (s.joints, s.gripper, s.object_poses))
+            for s in states]
+
+
 def test_offset_grasp_records_gap():
     clean = expert_states(13)
+    before = state_bytes(clean)
     shifted = corrupt(clean, "offset_grasp", 4)
+    assert state_bytes(clean) == before, "corruption wrote into the clean states"
     assert grasp_gap(clean) <= sim.R_GRASP < grasp_gap(shifted)
     assert sim.task_success(make_scene(), shifted, instr())
 
 
 def test_object_drift_moves_free_object():
     clean = expert_states(14)
+    before = state_bytes(clean)
     drifted = corrupt(clean, "object_drift", 5)
+    assert state_bytes(clean) == before, "corruption wrote into the clean states"
     assert free_drift(clean) == 0.0
     assert free_drift(drifted) > 0.005
     assert sim.task_success(make_scene(), drifted, instr())
