@@ -2,10 +2,12 @@
 
 A small patch-token transformer conditions on the two endpoint frames (with a
 learned frame-index embedding) and denoises the whole chunk of intermediate
-actions. Sliding it over a video in non-overlapping windows pseudo-labels
-generated videos with actions; the final partial window conditions on
-(frame_t, last frame) and keeps only the rows that exist, so a T-frame video
-always receives exactly T-1 action rows.
+actions. As in pi0's action expert, attention is block-causal: the frame
+tokens never read the action rows, so their keys and values are cached once per
+batch and each Euler step runs only the action rows. Sliding it over a video in
+non-overlapping windows pseudo-labels generated videos with actions; the final
+partial window conditions on (frame_t, last frame) and keeps only the rows that
+exist, so a T-frame video always receives exactly T-1 action rows.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ ACTION_DIM = 6
 DEFAULT_HORIZON = 8
 LABEL_SEED = 0          # labels are reproducible artifacts
 PATCH = 16              # token patch side, in pixels
-GEOMETRY = {"patch": PATCH}
+GEOMETRY = {"patch": PATCH, "block_causal": 1}   # older files lack block_causal
 
 
 @dataclass(frozen=True)
@@ -74,8 +76,8 @@ class IdmModel:
         return chunks * self.norm_std + self.norm_mean
 
     def frame_tokens(self, frame_a: np.ndarray, frame_b: np.ndarray) -> Tensor:
-        """`velocity`'s conditioning: anchor-frame tokens plus frame-difference
-        tokens; the difference carries the motion the chunk must explain."""
+        """Anchor-frame tokens plus frame-difference tokens; the difference
+        carries the motion the chunk must explain."""
         pa = patchify(frame_a, PATCH)                # (B, P, pd)
         pb = patchify(frame_b, PATCH)
         emb_a = (self.patch_embed(Tensor(pa)).layer_norm()
@@ -84,21 +86,21 @@ class IdmModel:
                  + self.pos_embed + self.frame_embed[1:2, :])
         return concat([emb_a, emb_d], axis=1)
 
-    def velocity(self, x_t: np.ndarray, t: np.ndarray, cond: Tensor) -> Tensor:
+    def condition(self, frame_a: np.ndarray, frame_b: np.ndarray) -> list[tuple[Tensor, Tensor]]:
+        """`velocity`'s conditioning: the trunk's prefix cache of `frame_tokens`."""
+        return self.trunk.prefix(self.frame_tokens(frame_a, frame_b))
+
+    def velocity(self, x_t: np.ndarray, t: np.ndarray, cond: list) -> Tensor:
         """x_t: (B, H, 6) normalized noisy chunk; returns (B, H, 6) velocity.
 
-        `cond` is `frame_tokens` of the endpoint frames, built once per batch
-        and reused over every Euler step. Without a graph the trunk computes
-        its last block for the chunk rows alone; with one it computes every
-        row, so the weight-gradient sums keep their order."""
+        `cond` is `condition` of the endpoint frames, built once per batch and
+        reused over every Euler step; only the chunk rows run through the
+        trunk, with or without a graph."""
         b = x_t.shape[0]
         tfeat = time_features(t, self.hyper.dim)                 # (B, D)
         tvec = self.time_proj(Tensor(tfeat)).reshape(b, 1, self.hyper.dim)
         act = self.chunk_in(Tensor(x_t)) + self.row_embed + tvec
-        tokens = concat([cond, act], axis=1)
-        h = self.hyper.horizon
-        out = self.trunk(tokens, None if tokens.requires_grad else h)
-        return self.head(out[:, -h:, :])
+        return self.head(self.trunk(act, cond))
 
     # -- persistence -----------------------------------------------------------
     def save(self, path) -> None:
@@ -154,7 +156,7 @@ def train_idm(episodes: list[Episode], config: flow.TrainConfig,
             frames_b.append(ep.frames[s + hyper.horizon])
             chunks.append(ep.actions[s:s + hyper.horizon])
         return (model.normalize(np.stack(chunks)),
-                model.frame_tokens(np.stack(frames_a), np.stack(frames_b)))
+                model.condition(np.stack(frames_a), np.stack(frames_b)))
 
     losses = flow.train_fm(model, batch_fn, config)
     return model, losses
@@ -171,15 +173,15 @@ def _predict_batch(model: IdmModel, frames_a: np.ndarray, frames_b: np.ndarray,
                    seed: int) -> np.ndarray:
     """Average sample_avg denoising runs (seeded); the chunk posterior is
     essentially unimodal, so the mean is the minimum-MSE point estimate.
-    The frame tokens are the same for every run and step, so they are
-    computed once.
+    The conditioning is the same for every run and step, so it is computed
+    once, and the runs only read it.
 
     The runs are independent, so `parallel.run` runs them side by side;
     `velocity_fn` enters `no_grad` on whichever thread runs it. The runs are
     averaged in run order, so the labels do not depend on which thread
     finished first."""
     with no_grad():
-        cond = model.frame_tokens(frames_a, frames_b)
+        cond = model.condition(frames_a, frames_b)
 
     def velocity_fn(x_t, t):
         with no_grad():

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, attention
+from .tensor import Tensor, attention, concat
 
 INIT_SCALE = 0.02
 
@@ -72,8 +72,8 @@ class LayerNorm:
 
 
 class MultiHeadAttention:
-    """Learned-projection attention; pass distinct kv input for cross-attention.
-    Its projections are drawn and named `prefix` + "q", "k", "v", "o"."""
+    """Learned-projection attention over `kv`, another input's `keys_values`
+    or by default the query rows' own; projections named `prefix` + q/k/v/o."""
 
     def __init__(self, store: ParamStore, prefix: str, dim: int, n_heads: int):
         self.n_heads = n_heads
@@ -82,10 +82,12 @@ class MultiHeadAttention:
         self.wv = Linear(store, f"{prefix}v", dim, dim)
         self.wo = Linear(store, f"{prefix}o", dim, dim)
 
-    def __call__(self, x_q: Tensor, x_kv: Tensor | None = None) -> Tensor:
-        x_kv = x_q if x_kv is None else x_kv
-        out = attention(self.wq(x_q), self.wk(x_kv), self.wv(x_kv), self.n_heads)
-        return self.wo(out)
+    def keys_values(self, x: Tensor) -> tuple[Tensor, Tensor]:
+        return self.wk(x), self.wv(x)
+
+    def __call__(self, x_q: Tensor, kv: tuple[Tensor, Tensor] | None = None) -> Tensor:
+        k, v = self.keys_values(x_q) if kv is None else kv
+        return self.wo(attention(self.wq(x_q), k, v, self.n_heads))
 
 
 class Mlp:
@@ -106,23 +108,21 @@ class TransformerBlock:
         self.ln2 = LayerNorm(store, f"{name}.ln2", dim)
         self.mlp = Mlp(store, f"{name}.mlp", dim, 4 * dim)
 
-    def __call__(self, x: Tensor, keep: int | None = None) -> Tensor:
-        """With `keep`, only the last `keep` rows are computed and returned;
-        their attention still reads keys and values from every row."""
+    def __call__(self, x: Tensor, prefix_kv: tuple[Tensor, Tensor] | None = None) -> Tensor:
+        """The rows attend to `prefix_kv`, if given, followed by their own."""
         h = self.ln1(x)
-        if keep is None:
-            x = x + self.attn(h)
-            return x + self.mlp(self.ln2(x))
-        # A one-row operand goes through numpy's matrix-vector product, which
-        # sums in another order than the matrix product of the full block, so
-        # at least two rows are computed to keep the same bytes.
-        rows = max(keep, 2)
-        x = x[..., -rows:, :] + self.attn(h[..., -rows:, :], h)
-        x = x + self.mlp(self.ln2(x))
-        return x if rows == keep else x[..., -keep:, :]
+        kv = self.attn.keys_values(h)
+        if prefix_kv is not None:
+            kv = tuple(concat([p, own], axis=-2) for p, own in zip(prefix_kv, kv))
+        x = x + self.attn(h, kv)
+        return x + self.mlp(self.ln2(x))
 
 
 class Trunk:
+    """Blocks and a closing layer norm. `self(x, self.prefix(tokens))` equals the
+    `x` rows of one pass over `tokens` then `x` under a block-causal mask: the
+    prefix tokens attend only among themselves, the rows to both."""
+
     def __init__(self, store: ParamStore, name: str, dim: int, n_heads: int, n_blocks: int):
         if n_blocks < 1:
             raise ValueError(f"a trunk needs at least one block, got {n_blocks}")
@@ -130,13 +130,21 @@ class Trunk:
                        for i in range(n_blocks)]
         self.ln_out = LayerNorm(store, f"{name}.ln_out", dim)
 
-    def __call__(self, x: Tensor, keep: int | None = None) -> Tensor:
-        """With `keep`, returns only the last `keep` rows, equal to
-        `self(x)[..., -keep:, :]`: the last block skips the other rows."""
-        *inner, last = self.blocks
-        for block in inner:
-            x = block(x)
-        return self.ln_out(last(x, keep))
+    def prefix(self, tokens: Tensor) -> list[tuple[Tensor, Tensor]]:
+        """One (keys, values) per block; the last block stops once it has them."""
+        cache = []
+        for block in self.blocks:
+            h = block.ln1(tokens)
+            cache.append(block.attn.keys_values(h))
+            if len(cache) < len(self.blocks):
+                tokens = tokens + block.attn(h, cache[-1])
+                tokens = tokens + block.mlp(block.ln2(tokens))
+        return cache
+
+    def __call__(self, x: Tensor, prefix: list[tuple[Tensor, Tensor]] | None = None) -> Tensor:
+        for block, kv in zip(self.blocks, prefix or [None] * len(self.blocks)):
+            x = block(x, kv)
+        return self.ln_out(x)
 
 
 def time_features(t: np.ndarray, dim: int) -> np.ndarray:

@@ -142,7 +142,7 @@ class ProbeModel:
         tokens = concat([Tensor(z1) + self.segment[0:1, :],
                          Tensor(z2) + self.segment[1:2, :]], axis=1)
         query = concat([self.query.reshape(1, 1, -1)] * b, axis=0)
-        return self.head(self.ln(self.attn(query, tokens))).reshape(b)
+        return self.head(self.ln(self.attn(query, self.attn.keys_values(tokens)))).reshape(b)
 
     def save(self, path) -> None:
         save_checkpoint(path, *model_state(self))

@@ -98,7 +98,8 @@ def rewrite(path, edit_arrays=None, **meta_changes):
         (encoder, "", "clip_len", 8), (encoder, "", "clip_len", None),
         (encoder, "", "patch", 8), (encoder, "", "patch", None),
         (encoder, "", "tubelet", 1), (encoder, "", "tubelet", None),
-        (idm, "idm-", "patch", 8), (idm, "idm-", "patch", None)]])
+        (idm, "idm-", "patch", 8), (idm, "idm-", "patch", None),
+        (idm, "idm-", "block_causal", 0)]])
 def test_encoder_load_rejects_meta_clip_geometry(tmp_path, module, field, value):
     """Meta that lacks the clip and token geometry the encoder's module fixes,
     or the IDM's patch, or disagrees with it, is rejected; None deletes the
@@ -168,4 +169,17 @@ def test_idm_load_rejects_bad_action_normalization(tmp_path, edit):
 
     rewrite(path, edit_arrays)
     with pytest.raises(CheckpointError):
+        IdmModel.load(path)
+
+
+def test_idm_load_rejects_a_file_from_before_block_causal_attention(tmp_path):
+    """Such a file has the same arrays and only the patch in its fixed meta,
+    but its trunk let the frame tokens attend to the action rows, so loading
+    it into today's model would give other labels without any error."""
+    model = IdmModel(IdmHyper(dim=8, heads=2, blocks=1), seed=1)
+    path = tmp_path / "idm.tckp"
+    checkpoint.save_checkpoint(path, *checkpoint.model_state(
+        model, {"norm/mean": model.norm_mean, "norm/std": model.norm_std},
+        meta={"patch": idm.PATCH}))
+    with pytest.raises(CheckpointError, match="block_causal"):
         IdmModel.load(path)

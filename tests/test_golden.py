@@ -30,13 +30,13 @@ GOLDEN = {
     "probe.tckp":
         "b706466be1a0e1a5ba6ca0faa48408000881879ceb45823f46f3925033a19b9d",
     "idm.tckp":
-        "648b43c289c87c70c496246f15b4008d28c3d16f61e9bf7206b8a1573376b8e9",
+        "715c32d8f31318c2deecaca8f7a7de1d772b31757dd466d8abfa26795fc26022",
     "idm_losses":
         "8f1e6c5ad45fe6c50061ef0b9e69259e4fdb010899ff175cf9fb361d43bff9fa",
     "idm_default.tckp":
-        "377b823674b1b93024763a5e62c95f25bd538313d71b9568effb761cbb583d02",
+        "d434545ba3c2fa372e0048c992b8ac152955f10b7c6bbbf8ce1cb8e2a788cf45",
     "idm_default_losses":
-        "c38734090c9085fc0cc5a96808d8be11431b2366efd56071f693b5739f766c76",
+        "985042f258d0b48be4feb4e7e471c5fc2310f92a03ab04af4106e02dde45ed9a",
     "train_bce":
         "a9a8832a54622f49f6e837e22c6a1d132ca6562a53305571a140e5cb9c27ad0e",
     "val_bce":

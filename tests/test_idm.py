@@ -1,12 +1,16 @@
+import math
 import os
 import threading
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from trajcurate import flow, idm, optim, sim
+from trajcurate.nn import time_features
 from trajcurate.seeding import derive_seed
+from trajcurate.tensor import no_grad
 
 TINY = idm.IdmHyper(dim=16, heads=2, blocks=1, horizon=4,
                     resolution=32, euler_steps=2, sample_avg=2)
@@ -38,16 +42,14 @@ def random_video(t, seed=0, resolution=32):
 
 
 def reference_label_video(video, model):
-    """One Euler sample per averaged run, each step recomputing the frame
-    tokens from the raw frames. `velocity` runs with the graph on, so the
-    trunk computes every row of its last block instead of the chunk rows
-    alone."""
+    """One Euler sample per averaged run, each step rebuilding the
+    conditioning from the raw frames, with the graph on."""
     h = model.hyper.horizon
     starts = list(range(0, len(video) - 1, h))
     ends = [min(s + h, len(video) - 1) for s in starts]
 
     def velocity_fn(x_t, t):
-        return model.velocity(x_t, t, model.frame_tokens(video[starts], video[ends])).data
+        return model.velocity(x_t, t, model.condition(video[starts], video[ends])).data
 
     base = derive_seed(idm.LABEL_SEED, "label-windows")
     shape = (len(starts), h, idm.ACTION_DIM)
@@ -87,7 +89,7 @@ def test_label_video_leaves_no_thread_and_grad_on():
     rng = np.random.default_rng(5)
     x, eps = rng.normal(size=(2, 2, model.hyper.horizon, idm.ACTION_DIM))
     t = np.array([0.3, 0.7])
-    cond = model.frame_tokens(video[:2], video[8:])
+    cond = model.condition(video[:2], video[8:])
     optim.train_step(model.params,
                      lambda: flow.fm_loss(model.velocity(flow.interpolate(x, eps, t), t, cond),
                                           x, eps),
@@ -103,3 +105,107 @@ def test_label_video_without_sched_getaffinity(monkeypatch):
     expected = idm.label_video(video, model)
     monkeypatch.delattr(os, "sched_getaffinity")
     assert idm.label_video(video, model).tobytes() == expected.tobytes()
+
+
+def two_windows(model, batch, seed):
+    video = random_video(8 * batch + 1, seed=seed, resolution=model.hyper.resolution)
+    return video[0:-1:8], video[8::8]
+
+
+def noisy_chunk(model, batch, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(batch, model.hyper.horizon, idm.ACTION_DIM)),
+            rng.uniform(0.0, 1.0, size=batch))
+
+
+def test_velocity_same_bytes_with_and_without_graph():
+    model = default_model()
+    for batch in (1, 3, 11):
+        frames_a, frames_b = two_windows(model, batch, seed=batch)
+        x_t, t = noisy_chunk(model, batch, seed=batch)
+        graph = model.velocity(x_t, t, model.condition(frames_a, frames_b))
+        with no_grad():
+            plain = model.velocity(x_t, t, model.condition(frames_a, frames_b))
+        assert graph.requires_grad and not plain.requires_grad
+        assert plain.data.tobytes() == graph.data.tobytes()
+
+
+def layer_norm(x, p, name):
+    xc = x - x.mean(axis=-1, keepdims=True)
+    return xc / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5) * p[f"{name}.g"] + p[f"{name}.b"]
+
+
+def linear(x, p, name):
+    return x @ p[f"{name}.w"] + p[f"{name}.b"]
+
+
+def masked_reference(model, x_t, t, frames_a, frames_b):
+    """`velocity` as one pass over the frame tokens followed by the chunk
+    rows, in numpy from the parameter arrays, with an explicit mask that
+    keeps the frame tokens from reading the chunk rows. Returns the velocity
+    and each block's keys and values of the frame tokens."""
+    p = {name: t.data for name, t in model.params.items()}
+    hyper = model.hyper
+    with no_grad():
+        tokens = model.frame_tokens(frames_a, frames_b).data
+    tvec = linear(time_features(t, hyper.dim), p, "time")
+    act = linear(x_t, p, "chunk_in") + p["row_embed"] + tvec[:, None, :]
+    x = np.concatenate([tokens, act], axis=1)
+    b, n, d = x.shape
+    n_prefix, d_head = tokens.shape[1], d // hyper.heads
+    reads = np.ones((n, n), dtype=bool)
+    reads[:n_prefix, n_prefix:] = False
+
+    def heads(a):
+        return a.reshape(b, n, hyper.heads, d_head).swapaxes(1, 2)
+
+    prefix_kv = []
+    for i in range(hyper.blocks):
+        blk = f"trunk.blk{i}"
+        h = layer_norm(x, p, f"{blk}.ln1")
+        q, k, v = (linear(h, p, f"{blk}.attn.{c}") for c in "qkv")
+        prefix_kv.append((k[:, :n_prefix], v[:, :n_prefix]))
+        scores = np.where(reads, heads(q) @ heads(k).swapaxes(-1, -2) / math.sqrt(d_head), -np.inf)
+        weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        weights /= weights.sum(axis=-1, keepdims=True)
+        merged = (weights @ heads(v)).swapaxes(1, 2).reshape(b, n, d)
+        x = x + linear(merged, p, f"{blk}.attn.o")
+        hidden = linear(layer_norm(x, p, f"{blk}.ln2"), p, f"{blk}.mlp.fc1")
+        hidden = hidden * 0.5 * (1.0 + erf(hidden / math.sqrt(2.0)))
+        x = x + linear(hidden, p, f"{blk}.mlp.fc2")
+    out = layer_norm(x, p, "trunk.ln_out")[:, n_prefix:]
+    return linear(out, p, "head"), prefix_kv
+
+
+def test_cached_prefix_matches_block_masked_full_attention():
+    model = default_model()
+    frames_a, frames_b = two_windows(model, 3, seed=8)
+    x_t, t = noisy_chunk(model, 3, seed=9)
+    expected, expected_kv = masked_reference(model, x_t, t, frames_a, frames_b)
+    with no_grad():
+        cond = model.condition(frames_a, frames_b)
+        out = model.velocity(x_t, t, cond).readout()
+    assert np.max(np.abs(out - expected)) <= 1e-12
+    assert len(cond) == model.hyper.blocks
+    for (k, v), (k_ref, v_ref) in zip(cond, expected_kv):
+        assert np.max(np.abs(k.data - k_ref)) <= 1e-12
+        assert np.max(np.abs(v.data - v_ref)) <= 1e-12
+
+
+def test_changing_x_t_leaves_the_prefix_cache_unchanged():
+    """Velocity calls with other noise neither write into the cache nor
+    make a reused cache give other bytes than a fresh one."""
+    model = default_model()
+    frames_a, frames_b = two_windows(model, 3, seed=10)
+    with no_grad():
+        cond = model.condition(frames_a, frames_b)
+    before = [(k.data.tobytes(), v.data.tobytes()) for k, v in cond]
+    for seed in range(3):
+        x_t, t = noisy_chunk(model, 3, seed=seed)
+        model.velocity(x_t, t, cond)
+        with no_grad():
+            reused = model.velocity(x_t, t, cond).readout()
+    assert [(k.data.tobytes(), v.data.tobytes()) for k, v in cond] == before
+    with no_grad():
+        fresh = model.velocity(x_t, t, model.condition(frames_a, frames_b)).readout()
+    assert reused.tobytes() == fresh.tobytes()

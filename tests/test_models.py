@@ -282,13 +282,13 @@ def test_nan_mid_trunk_raises_in_idm_labeling():
 @pytest.mark.parametrize("poisoned", [MID_TRUNK, "patch.w"], ids=["trunk", "patch"])
 def test_nan_mid_trunk_raises_in_idm_training(poisoned):
     """A poisoned trunk weight fails in the loss; a poisoned patch embedding
-    fails in `frame_tokens`, inside batch_fn, and must be reported alike."""
+    fails in `condition`, inside batch_fn, and must be reported alike."""
     model = poison(idm.IdmModel(NAN_IDM, seed=1), poisoned)
     frames = random_frames(4, seed=2)
 
     def batch_fn(rng):
         chunks = rng.normal(size=(2, NAN_IDM.horizon, idm.ACTION_DIM))
-        return chunks, model.frame_tokens(frames[:2], frames[2:])
+        return chunks, model.condition(frames[:2], frames[2:])
 
     config = flow.TrainConfig(steps=2, batch_size=2,
                               schedule=LrSchedule(base_lr=1e-3, total_steps=2, stable_steps=1))
@@ -385,5 +385,5 @@ def test_idm_flow_matching_grad_matches_finite_differences():
     check_directional_grads(
         lambda: idm.IdmModel(TINY_IDM, seed=0),
         lambda model: flow.fm_loss(
-            model.velocity(x_t, t, model.frame_tokens(frames[:2], frames[2:])), clean, noise),
+            model.velocity(x_t, t, model.condition(frames[:2], frames[2:])), clean, noise),
         seed=10)

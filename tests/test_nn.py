@@ -1,4 +1,4 @@
-"""Transformer blocks: row pruning, gradients, and the in-place kernels."""
+"""Transformer blocks: gradients, the prefix cache, and the in-place kernels."""
 
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from trajcurate.idm import PATCH, IdmHyper
 from trajcurate.nn import ParamStore, TransformerBlock, Trunk, patchify
 from trajcurate.tensor import Tensor, finite_diff_grad, no_grad
 
@@ -20,58 +19,73 @@ def randomized(store, seed, scale):
     return store
 
 
-def test_trunk_keep_equals_last_rows_of_full_trunk():
-    """Graph on or off, pruned or not, the rows equal those of the full
-    trunk built with a graph (the training path)."""
-    hyper = IdmHyper()
-    n_tokens = 2 * (hyper.resolution // PATCH) ** 2 + hyper.horizon
-    store = ParamStore(np.random.default_rng(0))
-    trunk = Trunk(store, "trunk", hyper.dim, hyper.heads, hyper.blocks)
-    randomized(store, seed=1, scale=0.2)
-    rng = np.random.default_rng(2)
-    for batch in (1, 3, 8, 12):
-        x = Tensor(rng.normal(size=(batch, n_tokens, hyper.dim)))
-        full = trunk(x).data
-        with no_grad():
-            assert trunk(x).data.tobytes() == full.tobytes()
-        for keep in (1, 5, hyper.horizon, n_tokens):
-            pruned = trunk(x, keep)
-            with no_grad():
-                pruned_no_graph = trunk(x, keep)
-            for out in (pruned, pruned_no_graph):
-                assert out.shape == (batch, keep, hyper.dim)
-                assert out.data.tobytes() == full[:, -keep:].tobytes()
-
-
 def test_trunk_needs_a_block():
     with pytest.raises(ValueError):
         Trunk(ParamStore(np.random.default_rng(0)), "trunk", 4, 2, 0)
 
 
-@pytest.mark.parametrize("keep", [None, 2])
-def test_transformer_block_grad_matches_finite_differences(keep):
+@pytest.mark.parametrize("n_prefix", [None, 3])
+def test_transformer_block_grad_matches_finite_differences(n_prefix):
+    """With a prefix, the gradient reaches its keys and values too."""
     store = ParamStore(np.random.default_rng(0))
     block = TransformerBlock(store, "blk", 4, 2)
     randomized(store, seed=3, scale=0.5)
     rng = np.random.default_rng(4)
-    x0 = rng.normal(size=(2, 5, 4))
-    w = Tensor(rng.normal(size=(2, 5 if keep is None else keep, 4)))
+    inputs = {"x": rng.normal(size=(2, 5, 4))}
+    if n_prefix is not None:
+        inputs["k"], inputs["v"] = rng.normal(size=(2, 2, n_prefix, 4))
+    w = Tensor(rng.normal(size=(2, 5, 4)))
 
-    x = Tensor(x0, requires_grad=True)
-    (block(x, keep) * w).sum().backward()
-    auto = {"x": x.grad, **{name: t.grad for name, t in store.params.items()}}
+    def run(p):
+        return (block(p["x"], None if n_prefix is None else (p["k"], p["v"])) * w).sum()
+
+    leaves = {name: Tensor(a, requires_grad=True) for name, a in inputs.items()}
+    run(leaves).backward()
+    auto = {**{name: t.grad for name, t in leaves.items()},
+            **{name: t.grad for name, t in store.params.items()}}
 
     def loss(p):
         for name, t in store.params.items():
             t.data = p[name].data
-        return (block(p["x"], keep) * w).sum()
+        return run(p)
 
-    fd = finite_diff_grad(loss, {"x": x0, **store.arrays()}, eps=1e-6)
-    # The key bias adds the same amount to every score of a query, which
-    # softmax ignores: its true gradient is 0, so the check needs an
-    # absolute floor for the finite-difference noise.
+    fd = finite_diff_grad(loss, {**inputs, **store.arrays()}, eps=1e-6)
+    # Without a prefix, the key bias adds the same amount to every score of
+    # a query, which softmax ignores: its true gradient is 0, so the check
+    # needs an absolute floor for the finite-difference noise.
     for name, g in fd.items():
         assert np.allclose(auto[name], g, rtol=1e-4, atol=1e-8), name
+
+
+def test_trunk_prefix_grad_matches_finite_differences():
+    """Gradients through `Trunk.prefix` and the rows run against its cache,
+    at the tiny test models' width and heads; two blocks, so the prefix
+    runs one whole block and stops in the last."""
+    store = ParamStore(np.random.default_rng(0))
+    trunk = Trunk(store, "trunk", 8, 2, 2)
+    randomized(store, seed=5, scale=0.5)
+    rng = np.random.default_rng(6)
+    inputs = {"tokens": rng.normal(size=(2, 4, 8)), "rows": rng.normal(size=(2, 2, 8))}
+    w = Tensor(rng.normal(size=(2, 2, 8)))
+
+    def run(p):
+        return (trunk(p["rows"], trunk.prefix(p["tokens"])) * w).sum()
+
+    leaves = {name: Tensor(a, requires_grad=True) for name, a in inputs.items()}
+    run(leaves).backward()
+    auto = {**{name: t.grad for name, t in leaves.items()},
+            **{name: t.grad for name, t in store.params.items()}}
+
+    def loss(p):
+        for name, t in store.params.items():
+            t.data = p[name].data
+        return run(p)
+
+    fd = finite_diff_grad(loss, {**inputs, **store.arrays()}, eps=1e-6)
+    for name, g in fd.items():
+        assert np.allclose(auto[name], g, rtol=1e-4, atol=1e-8), name
+    # The prefix tokens move the loss, so the check covered their path.
+    assert np.any(auto["tokens"])
 
 
 # The kernels as written before they built their outputs in place; the
