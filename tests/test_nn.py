@@ -24,21 +24,10 @@ def test_trunk_needs_a_block():
         Trunk(ParamStore(np.random.default_rng(0)), "trunk", 4, 2, 0)
 
 
-@pytest.mark.parametrize("n_prefix", [None, 3])
-def test_transformer_block_grad_matches_finite_differences(n_prefix):
-    """With a prefix, the gradient reaches its keys and values too."""
-    store = ParamStore(np.random.default_rng(0))
-    block = TransformerBlock(store, "blk", 4, 2)
-    randomized(store, seed=3, scale=0.5)
-    rng = np.random.default_rng(4)
-    inputs = {"x": rng.normal(size=(2, 5, 4))}
-    if n_prefix is not None:
-        inputs["k"], inputs["v"] = rng.normal(size=(2, 2, n_prefix, 4))
-    w = Tensor(rng.normal(size=(2, 5, 4)))
-
-    def run(p):
-        return (block(p["x"], None if n_prefix is None else (p["k"], p["v"])) * w).sum()
-
+def assert_grads_match_finite_differences(store, inputs, run):
+    """Autodiff gradients of the scalar `run(p)` against central differences,
+    for every array in `inputs` and every parameter in `store`; returns the
+    autodiff ones."""
     leaves = {name: Tensor(a, requires_grad=True) for name, a in inputs.items()}
     run(leaves).backward()
     auto = {**{name: t.grad for name, t in leaves.items()},
@@ -50,11 +39,28 @@ def test_transformer_block_grad_matches_finite_differences(n_prefix):
         return run(p)
 
     fd = finite_diff_grad(loss, {**inputs, **store.arrays()}, eps=1e-6)
-    # Without a prefix, the key bias adds the same amount to every score of
-    # a query, which softmax ignores: its true gradient is 0, so the check
-    # needs an absolute floor for the finite-difference noise.
     for name, g in fd.items():
         assert np.allclose(auto[name], g, rtol=1e-4, atol=1e-8), name
+    return auto
+
+
+@pytest.mark.parametrize("n_prefix", [None, 3])
+def test_transformer_block_grad_matches_finite_differences(n_prefix):
+    """With a prefix, the gradient reaches its keys and values too. Without
+    one, the key bias adds the same amount to every score of a query, which
+    softmax ignores: its true gradient is 0, so the check needs an absolute
+    floor for the finite-difference noise."""
+    store = ParamStore(np.random.default_rng(0))
+    block = TransformerBlock(store, "blk", 4, 2)
+    randomized(store, seed=3, scale=0.5)
+    rng = np.random.default_rng(4)
+    inputs = {"x": rng.normal(size=(2, 5, 4))}
+    if n_prefix is not None:
+        inputs["k"], inputs["v"] = rng.normal(size=(2, 2, n_prefix, 4))
+    w = Tensor(rng.normal(size=(2, 5, 4)))
+    assert_grads_match_finite_differences(
+        store, inputs,
+        lambda p: (block(p["x"], None if n_prefix is None else (p["k"], p["v"])) * w).sum())
 
 
 def test_trunk_prefix_grad_matches_finite_differences():
@@ -67,25 +73,9 @@ def test_trunk_prefix_grad_matches_finite_differences():
     rng = np.random.default_rng(6)
     inputs = {"tokens": rng.normal(size=(2, 4, 8)), "rows": rng.normal(size=(2, 2, 8))}
     w = Tensor(rng.normal(size=(2, 2, 8)))
-
-    def run(p):
-        return (trunk(p["rows"], trunk.prefix(p["tokens"])) * w).sum()
-
-    leaves = {name: Tensor(a, requires_grad=True) for name, a in inputs.items()}
-    run(leaves).backward()
-    auto = {**{name: t.grad for name, t in leaves.items()},
-            **{name: t.grad for name, t in store.params.items()}}
-
-    def loss(p):
-        for name, t in store.params.items():
-            t.data = p[name].data
-        return run(p)
-
-    fd = finite_diff_grad(loss, {**inputs, **store.arrays()}, eps=1e-6)
-    for name, g in fd.items():
-        assert np.allclose(auto[name], g, rtol=1e-4, atol=1e-8), name
-    # The prefix tokens move the loss, so the check covered their path.
-    assert np.any(auto["tokens"])
+    auto = assert_grads_match_finite_differences(
+        store, inputs, lambda p: (trunk(p["rows"], trunk.prefix(p["tokens"])) * w).sum())
+    assert np.any(auto["tokens"])      # the prefix moves the loss
 
 
 # The kernels as written before they built their outputs in place; the
