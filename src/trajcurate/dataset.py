@@ -80,6 +80,7 @@ class Episode:
             raise ValueError(f"unknown embodiment {self.embodiment!r}")
         if self.embodiment == EMBODIMENT_NEURAL and np.any(self.states != 0.0):
             raise ValueError("neural episodes carry zero proprioceptive states")
+        sim.find_target(self.scene, self.instruction)   # raises if it is absent
 
 
 def episodes_equal(a: Episode, b: Episode) -> bool:

@@ -58,7 +58,9 @@ class Linear:
         y = x @ self.w
         if y.requires_grad:
             return y + self.b
-        y.data += self.b.data          # no graph: add in the product's own buffer
+        # No graph: add in the product's own buffer. One op fewer per layer
+        # made IDM labelling about 8% faster (ROADMAP, performance baseline).
+        y.data += self.b.data
         return y
 
 
@@ -72,8 +74,8 @@ class LayerNorm:
 
 
 class MultiHeadAttention:
-    """Learned-projection attention over `kv`, another input's `keys_values`
-    or by default the query rows' own; projections named `prefix` + q/k/v/o."""
+    """Learned-projection attention of the query rows over `kv`, the
+    `keys_values` of the rows attended to; projections named `prefix` + q/k/v/o."""
 
     def __init__(self, store: ParamStore, prefix: str, dim: int, n_heads: int):
         self.n_heads = n_heads
@@ -85,8 +87,8 @@ class MultiHeadAttention:
     def keys_values(self, x: Tensor) -> tuple[Tensor, Tensor]:
         return self.wk(x), self.wv(x)
 
-    def __call__(self, x_q: Tensor, kv: tuple[Tensor, Tensor] | None = None) -> Tensor:
-        k, v = self.keys_values(x_q) if kv is None else kv
+    def __call__(self, x_q: Tensor, kv: tuple[Tensor, Tensor]) -> Tensor:
+        k, v = kv
         return self.wo(attention(self.wq(x_q), k, v, self.n_heads))
 
 
@@ -100,7 +102,8 @@ class Mlp:
 
 
 class TransformerBlock:
-    """Pre-LN self-attention block with a GELU MLP (ratio 4)."""
+    """Pre-LN self-attention block with a GELU MLP (ratio 4). A call returns
+    the rows and their own (keys, values), which later rows may attend to."""
 
     def __init__(self, store: ParamStore, name: str, dim: int, n_heads: int):
         self.ln1 = LayerNorm(store, f"{name}.ln1", dim)
@@ -108,20 +111,22 @@ class TransformerBlock:
         self.ln2 = LayerNorm(store, f"{name}.ln2", dim)
         self.mlp = Mlp(store, f"{name}.mlp", dim, 4 * dim)
 
-    def __call__(self, x: Tensor, prefix_kv: tuple[Tensor, Tensor] | None = None) -> Tensor:
+    def __call__(self, x: Tensor, prefix_kv: tuple[Tensor, Tensor] | None = None
+                 ) -> tuple[Tensor, tuple[Tensor, Tensor]]:
         """The rows attend to `prefix_kv`, if given, followed by their own."""
         h = self.ln1(x)
-        kv = self.attn.keys_values(h)
-        if prefix_kv is not None:
-            kv = tuple(concat([p, own], axis=-2) for p, own in zip(prefix_kv, kv))
+        own = self.attn.keys_values(h)
+        kv = own if prefix_kv is None else tuple(
+            concat([p, o], axis=-2) for p, o in zip(prefix_kv, own))
         x = x + self.attn(h, kv)
-        return x + self.mlp(self.ln2(x))
+        return x + self.mlp(self.ln2(x)), own
 
 
 class Trunk:
     """Blocks and a closing layer norm. `self(x, self.prefix(tokens))` equals the
     `x` rows of one pass over `tokens` then `x` under a block-causal mask: the
-    prefix tokens attend only among themselves, the rows to both."""
+    prefix tokens attend only among themselves, the rows to both. The prefix
+    is the (keys, values) each block returns in a pass over `tokens`."""
 
     def __init__(self, store: ParamStore, name: str, dim: int, n_heads: int, n_blocks: int):
         if n_blocks < 1:
@@ -133,17 +138,15 @@ class Trunk:
     def prefix(self, tokens: Tensor) -> list[tuple[Tensor, Tensor]]:
         """One (keys, values) per block; the last block stops once it has them."""
         cache = []
-        for block in self.blocks:
-            h = block.ln1(tokens)
-            cache.append(block.attn.keys_values(h))
-            if len(cache) < len(self.blocks):
-                tokens = tokens + block.attn(h, cache[-1])
-                tokens = tokens + block.mlp(block.ln2(tokens))
-        return cache
+        for block in self.blocks[:-1]:
+            tokens, kv = block(tokens)
+            cache.append(kv)
+        last = self.blocks[-1]
+        return cache + [last.attn.keys_values(last.ln1(tokens))]
 
     def __call__(self, x: Tensor, prefix: list[tuple[Tensor, Tensor]] | None = None) -> Tensor:
         for block, kv in zip(self.blocks, prefix or [None] * len(self.blocks)):
-            x = block(x, kv)
+            x = block(x, kv)[0]        # drops the block's own keys and values at once
         return self.ln_out(x)
 
 

@@ -187,20 +187,16 @@ def remap_frames(frames: np.ndarray, scene: SceneSpec,
 
 def restyle_video(episode: Episode, palette_map: dict[int, int],
                   new_gain: float) -> Episode:
-    """Recolor a whole episode; actions, states and instruction are reused as-is."""
+    """Recolor a whole episode and the target colour its instruction names;
+    the states and actions are shared as-is."""
     frames, new_scene = remap_frames(episode.frames, episode.scene,
                                      palette_map, new_gain)
-    return Episode(
-        episode_id=episode.episode_id,
-        embodiment=episode.embodiment,
-        scene=new_scene,
-        instruction=episode.instruction,
-        frames=frames,
-        states=episode.states.copy(),
-        actions=episode.actions.copy(),
+    color = episode.instruction.target_color
+    return replace(
+        episode, scene=new_scene, frames=frames,
+        instruction=replace(episode.instruction, target_color=palette_map.get(color, color)),
         provenance={**episode.provenance,
-                    "restyle": {str(k): int(v) for k, v in palette_map.items()}},
-    )
+                    "restyle": {str(k): int(v) for k, v in palette_map.items()}})
 
 
 def random_palette_map(scene: SceneSpec, rng: np.random.Generator) -> dict[int, int]:

@@ -246,16 +246,10 @@ class Tensor:
         return _op(self.data.swapaxes(a, b), (self,), backward)
 
     def __getitem__(self, key):
-        parts = key if isinstance(key, tuple) else (key,)
-        advanced = any(isinstance(p, (np.ndarray, list)) for p in parts)
-
         def backward(g):
             if self.grad is None:
                 self.grad = np.zeros_like(self.data)
-            if advanced:
-                np.add.at(self.grad, key, g)   # repeated indices must accumulate
-            else:
-                self.grad[key] += g
+            np.add.at(self.grad, key, g)       # repeated indices must accumulate
         return _op(self.data[key], (self,), backward)
 
     # -- elementwise nonlinearities -------------------------------------------
@@ -284,8 +278,6 @@ class Tensor:
         erf(phi_cdf, out=phi_cdf)
         phi_cdf += 1.0
         phi_cdf *= 0.5
-        if not (self.requires_grad and _grad_mode.enabled):   # no backward needs phi_cdf
-            return _op(np.multiply(phi_cdf, x, out=phi_cdf), (self,), None)
 
         def backward(g):
             # g * (phi_cdf + x * pdf), in one buffer

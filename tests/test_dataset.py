@@ -216,20 +216,37 @@ def test_scene_fault_in_file_detected(tmp_path, fault):
         dataset.read_episode(path)
 
 
-def test_instruction_targeting_the_robot_color_in_file_detected(tmp_path):
-    """A file whose instruction names the robot colour, which no scene object
-    takes, is rejected on read."""
-    path = tmp_path / "ep.ntrj"
-    dataset.write_episode(dataset.collect_demos(1, seed=3)[0], path)
+def write_with_target_color(path, episode, color):
+    """Write `episode` with its instruction's target colour rewritten."""
+    dataset.write_episode(episode, path)
     recs = records.read_records(path.read_bytes(), dataset.MAGIC, dataset.VERSION, True)
     instruction = json.loads(bytes(next(data for name, _, _, data in recs
                                         if name == "instruction")))
-    instruction["target_color"] = sim.ROBOT_COLOR_INDEX
+    instruction["target_color"] = color
     payload = json.dumps(instruction).encode()
     records.write_records(path, dataset.MAGIC, dataset.VERSION, [
         ("instruction", kind, (len(payload),), payload) if name == "instruction"
         else (name, kind, dims, data) for name, kind, dims, data in recs])
+
+
+def test_instruction_targeting_the_robot_color_in_file_detected(tmp_path):
+    """A file whose instruction names the robot colour, which no scene object
+    takes, is rejected on read."""
+    path = tmp_path / "ep.ntrj"
+    write_with_target_color(path, dataset.collect_demos(1, seed=3)[0], sim.ROBOT_COLOR_INDEX)
     with pytest.raises(dataset.DatasetError, match="unknown target_color 0"):
+        dataset.read_episode(path)
+
+
+def test_instruction_targeting_an_absent_object_in_file_detected(tmp_path):
+    """A file whose instruction names a colour that no object in its scene
+    has is rejected on read, not when the episode is first replayed."""
+    path = tmp_path / "ep.ntrj"
+    episode = dataset.collect_demos(1, seed=3)[0]
+    taken = {o.color for o in episode.scene.objects}
+    absent = next(c for c in sim.SCENE_COLOR_INDICES if c not in taken)
+    write_with_target_color(path, episode, absent)
+    with pytest.raises(dataset.DatasetError, match="absent from the scene"):
         dataset.read_episode(path)
 
 

@@ -26,7 +26,7 @@ GOLDEN = {
     "encoder.tckp":
         "3f4a776290517c698ac391d0fcd50eda29ca9d6caeb7565826222658351d3775",
     "restyled.ntrj":
-        "bcb8e121f14438b48c73011e41c8aa7d5e26c1b9192094c6752c0d041b4d402f",
+        "0765dfffef19460b9bca80fa3e95e53b8bdd50060f040cfb34413498ac4ccf8e",
     "probe.tckp":
         "b706466be1a0e1a5ba6ca0faa48408000881879ceb45823f46f3925033a19b9d",
     "idm.tckp":

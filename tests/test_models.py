@@ -108,6 +108,23 @@ def test_encoder_tokens_do_not_depend_on_the_batch_split():
         assert parts.tobytes() == whole.tobytes(), split
 
 
+def test_encode_same_bytes_with_and_without_graph():
+    """The graph-building pass that pretraining runs gives the bytes
+    `encode_np` gives, though `Linear` and `gelu` work in place without a
+    graph. Default hyper, weights spread wider than the init so that every
+    sum shows."""
+    model = EncoderModel(seed=2)
+    rng = np.random.default_rng(2)
+    for p in model.params.values():
+        p.data = rng.normal(0.0, 0.1, size=p.shape)
+    res = model.hyper.resolution
+    clips = rng.integers(0, 256, size=(3, CLIP_LEN, res, res, 3), dtype=np.uint8)
+    graph = model.encode(clips)
+    plain = model.encode_np(clips)
+    assert graph.requires_grad
+    assert plain.tobytes() == graph.data.tobytes()
+
+
 def test_tubelets_match_patches_scaled_first():
     """The tubelets are rearranged as uint8 and scaled once; the bytes are
     those of scaling every pixel first and rearranging the floats."""

@@ -1,5 +1,6 @@
 """Transformer blocks: gradients, the prefix cache, and the in-place kernels."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -60,7 +61,7 @@ def test_transformer_block_grad_matches_finite_differences(n_prefix):
     w = Tensor(rng.normal(size=(2, 5, 4)))
     assert_grads_match_finite_differences(
         store, inputs,
-        lambda p: (block(p["x"], None if n_prefix is None else (p["k"], p["v"])) * w).sum())
+        lambda p: (block(p["x"], None if n_prefix is None else (p["k"], p["v"]))[0] * w).sum())
 
 
 def test_trunk_prefix_grad_matches_finite_differences():
@@ -76,6 +77,27 @@ def test_trunk_prefix_grad_matches_finite_differences():
     auto = assert_grads_match_finite_differences(
         store, inputs, lambda p: (trunk(p["rows"], trunk.prefix(p["tokens"])) * w).sum())
     assert np.any(auto["tokens"])      # the prefix moves the loss
+
+
+@pytest.mark.parametrize("grad", [False, True])
+def test_trunk_prefix_is_the_blocks_own_keys_values(grad):
+    """The prefix cache holds, byte for byte, the (keys, values) each block
+    returns in a pass over the same tokens."""
+    store = ParamStore(np.random.default_rng(0))
+    trunk = Trunk(store, "trunk", 8, 2, 3)
+    randomized(store, seed=7, scale=0.5)
+    x = tokens = Tensor(np.random.default_rng(8).normal(size=(2, 5, 8)))
+    with contextlib.nullcontext() if grad else no_grad():
+        cache = trunk.prefix(tokens)
+        own = []
+        for block in trunk.blocks:
+            x, kv = block(x)
+            own.append(kv)
+    assert len(cache) == len(own) == 3
+    for (k, v), (own_k, own_v) in zip(cache, own):
+        assert k.requires_grad == grad
+        assert k.data.tobytes() == own_k.data.tobytes()
+        assert v.data.tobytes() == own_v.data.tobytes()
 
 
 # The kernels as written before they built their outputs in place; the

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from collections import Counter
 
@@ -114,13 +115,17 @@ def test_restyle_identity_map_is_noop():
     assert np.array_equal(out.frames, ep.frames)
 
 
-def test_restyle_reuses_actions_and_instruction():
+def test_restyle_shares_actions_and_recolours_instruction():
+    """The instruction names the target's new colour, so the restyled scene
+    still holds the object it names; states and actions are not copied."""
     ep = demo_episode()
     pal = synthgen.random_palette_map(ep.scene, np.random.default_rng(3))
     out = synthgen.restyle_video(ep, pal, ep.scene.lighting_gain)
-    assert np.array_equal(out.actions, ep.actions)
-    assert np.array_equal(out.states, ep.states)
-    assert out.instruction == ep.instruction
+    assert out.actions is ep.actions and out.states is ep.states
+    assert pal[ep.instruction.target_color] != ep.instruction.target_color
+    assert out.instruction == dataclasses.replace(
+        ep.instruction, target_color=pal[ep.instruction.target_color])
+    assert sim.find_target(out.scene, out.instruction) == sim.find_target(ep.scene, ep.instruction)
 
 
 def test_restyle_keeps_robot_pixels():
@@ -142,9 +147,13 @@ def test_restyle_rejects_robot_remap():
         synthgen.restyle_video(ep, {3: sim.ROBOT_COLOR_INDEX}, ep.scene.lighting_gain)
 
 
-def test_restyled_actions_still_pass_oracle():
-    ep = demo_episode(seed=6)
-    pal = synthgen.random_palette_map(ep.scene, np.random.default_rng(5))
+@pytest.mark.parametrize("demo_seed, palette_seed", [(6, 0), (6, 3), (0, 1)])
+def test_restyled_actions_still_pass_oracle(demo_seed, palette_seed):
+    """Maps that move the target's colour: the oracle must find it by its
+    new colour."""
+    ep = demo_episode(seed=demo_seed)
+    pal = synthgen.random_palette_map(ep.scene, np.random.default_rng(palette_seed))
+    assert pal[ep.instruction.target_color] != ep.instruction.target_color
     out = synthgen.restyle_video(ep, pal, ep.scene.lighting_gain)
     states = sim.rollout(out.scene, sim.initial_state(out.scene), out.actions)
     assert sim.task_success(out.scene, states, out.instruction)
