@@ -159,7 +159,7 @@ def pretrain_encoder(episodes: list[Episode],
     model = EncoderModel(hyper, seed=config.seed)
     opt = AdamW()
     schedule = LrSchedule(base_lr=PRETRAIN_LR, total_steps=config.steps,
-                          stable_steps=max(1, int(config.steps * 0.8)))
+                          stable_steps=int(config.steps * 0.8))
 
     for step_idx in range(config.steps):
         rng = rng_for(config.seed, "enc-step", step_idx)

@@ -1,5 +1,5 @@
 """Flow-matching core of the inverse dynamics model; the imitation policy of
-ROADMAP item 4, not built yet, is meant to train with it too.
+ROADMAP item 3, not built yet, is meant to train with it too.
 
 The probability path linearly interpolates data x toward Gaussian noise eps
 as t runs 0 -> 1 (x_t = (1-t)x + t*eps), the regression target is the

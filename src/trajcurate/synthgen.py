@@ -140,6 +140,9 @@ def apply_palette_map(scene: SceneSpec, palette_map: dict[int, int],
         raise ValueError("palette map must not remap or introduce the reserved "
                          "robot color")
     remap = lambda c: palette_map.get(c, c)
+    used = {scene.table_color, scene.background_color, *(o.color for o in scene.objects)}
+    if len({remap(c) for c in used}) < len(used):
+        raise ValueError("palette map gives two of the scene's colors one color")
     objects = tuple(replace(o, color=remap(o.color)) for o in scene.objects)
     return replace(scene, table_color=remap(scene.table_color),
                    background_color=remap(scene.background_color),

@@ -1,7 +1,7 @@
 """Minimal reverse-mode autodiff over dense float64 numpy arrays.
 
-The op set is deliberately small: elementwise arithmetic, matmul, reductions,
-reshape/swapaxes/concat/slice and indexing, log, sigmoid, GELU,
+The op set is deliberately small: elementwise arithmetic, matmul, `affine`,
+reductions, reshape/swapaxes/concat/slice and indexing, log, sigmoid, GELU,
 softmax, log-softmax, and scaled dot-product multi-head attention. Row lookup
 is plain advanced indexing (`table[idx]`), whose gradient scatter-adds.
 Everything trainable in this package is a patch-token transformer built from
@@ -210,15 +210,21 @@ class Tensor:
         other = self._coerce(other)
         if self.ndim < 2 or other.ndim < 2:
             raise ValueError("matmul requires operands with ndim >= 2")
+        return _op(self.data @ other.data, (self, other),
+                   lambda g: _matmul_backward(self, other, g))
+
+    def affine(self, w: "Tensor", b: "Tensor") -> "Tensor":
+        """`self @ w + b` in one op, the bias added in the product's buffer."""
+        if self.ndim < 2 or w.ndim < 2:
+            raise ValueError("matmul requires operands with ndim >= 2")
+        y = self.data @ w.data
+        y += b.data
 
         def backward(g):
-            if self.requires_grad:
-                ga = g @ np.swapaxes(other.data, -1, -2)
-                self._accumulate(_unbroadcast(ga, self.shape))
-            if other.requires_grad:
-                gb = np.swapaxes(self.data, -1, -2) @ g
-                other._accumulate(_unbroadcast(gb, other.shape))
-        return _op(self.data @ other.data, (self, other), backward)
+            _matmul_backward(self, w, g)
+            if b.requires_grad:
+                b._accumulate(_unbroadcast(g, b.shape))
+        return _op(y, (self, w, b), backward)
 
     # -- reductions ---------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False):
@@ -354,6 +360,14 @@ def _op(data, parents: tuple[Tensor, ...],
     out.requires_grad = grad_enabled and any(p.requires_grad for p in parents)
     out._parents, out._backward = (parents, backward) if out.requires_grad else ((), None)
     return out
+
+
+def _matmul_backward(a: Tensor, b: Tensor, g: np.ndarray) -> None:
+    """Give the operands of `a @ b` their gradients from the result's `g`."""
+    if a.requires_grad:
+        a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+    if b.requires_grad:
+        b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

@@ -104,9 +104,9 @@ def test_no_unread_parameters(path):
 BENCH = PACKAGE.parent.parent / "bench"
 
 # Public names nothing calls yet, with the reason each is kept: entry points
-# that the unbuilt curation stage of ROADMAP item 4 is to call, and gradient
+# that the unbuilt curation stage of ROADMAP item 3 is to call, and gradient
 # oracles that serve the tests alone.
-ENTRY_POINT, TEST_ORACLE = "ROADMAP item 4 entry point", "test oracle"
+ENTRY_POINT, TEST_ORACLE = "ROADMAP item 3 entry point", "test oracle"
 UNCALLED_ALLOWED = {
     "collect_demos": ENTRY_POINT,
     "save_dataset": ENTRY_POINT,

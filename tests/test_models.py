@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajcurate import flow, idm, sim
+from trajcurate import dataset, flow, idm, sim
 from trajcurate.encoder import (
     CLIP_LEN,
     GRID_STEP,
@@ -17,8 +17,10 @@ from trajcurate.encoder import (
     TUBELET,
     EncoderHyper,
     EncoderModel,
+    EncoderTrainConfig,
     clip_windows,
     nt_xent_loss,
+    pretrain_encoder,
 )
 from trajcurate.nn import ParamStore
 from trajcurate.optim import LrSchedule
@@ -110,7 +112,7 @@ def test_encoder_tokens_do_not_depend_on_the_batch_split():
 
 def test_encode_same_bytes_with_and_without_graph():
     """The graph-building pass that pretraining runs gives the bytes
-    `encode_np` gives, though `Linear` and `gelu` work in place without a
+    `encode_np` gives: each op does the same arithmetic with and without a
     graph. Default hyper, weights spread wider than the init so that every
     sum shows."""
     model = EncoderModel(seed=2)
@@ -123,6 +125,18 @@ def test_encode_same_bytes_with_and_without_graph():
     plain = model.encode_np(clips)
     assert graph.requires_grad
     assert plain.tobytes() == graph.data.tobytes()
+
+
+def test_pretrain_encoder_with_no_steps_is_the_initial_encoder():
+    """Zero steps give the frozen random-init encoder, the baseline that
+    every pretext is compared with."""
+    config = EncoderTrainConfig(steps=0, seed=3)
+    model = pretrain_encoder(dataset.collect_demos(2, seed=0), config)
+    init = EncoderModel(seed=config.seed)
+    assert model.frozen
+    assert model.params.keys() == init.params.keys()
+    for name, p in init.params.items():
+        assert np.array_equal(model.params[name].data, p.data), name
 
 
 def test_tubelets_match_patches_scaled_first():

@@ -147,6 +147,16 @@ def test_restyle_rejects_robot_remap():
         synthgen.restyle_video(ep, {3: sim.ROBOT_COLOR_INDEX}, ep.scene.lighting_gain)
 
 
+def test_restyle_rejects_a_map_that_merges_two_scene_colours():
+    """With squares 10 and 2 both in colour 10, `find_target` would pick
+    square 10 for the target, square 2, and the actions would fail."""
+    ep = demo_episode()
+    assert [o.color for o in ep.scene.objects if o.shape == "square"] == [10, 2]
+    assert ep.instruction.target_color == 2
+    with pytest.raises(ValueError, match="one color"):
+        synthgen.restyle_video(ep, {2: 10}, ep.scene.lighting_gain)
+
+
 @pytest.mark.parametrize("demo_seed, palette_seed", [(6, 0), (6, 3), (0, 1)])
 def test_restyled_actions_still_pass_oracle(demo_seed, palette_seed):
     """Maps that move the target's colour: the oracle must find it by its
@@ -200,8 +210,15 @@ def test_remap_frames_matches_per_colour_reference(data, table, bg, gain,
         for _ in range(t)])
     for rgb in data.draw(st.lists(_rgb, max_size=20)):
         frames[rng.integers(t), rng.integers(16), rng.integers(16)] = rgb
+    # a map that keeps the scene's colours distinct: the `kept` colours are
+    # unmapped, the others go to distinct colours outside `kept` (possibly
+    # their own)
     used = sorted({table, bg, *object_colors})
-    palette_map = data.draw(st.dictionaries(st.sampled_from(used), _colors))
+    kept = data.draw(st.sets(st.sampled_from(used)))
+    moved = [c for c in used if c not in kept]
+    free = [c for c in sim.SCENE_COLOR_INDICES if c not in kept]
+    palette_map = dict(zip(moved, data.draw(st.lists(
+        st.sampled_from(free), min_size=len(moved), max_size=len(moved), unique=True))))
     new_gain = data.draw(st.one_of(st.just(gain), st.floats(0.5, 1.5)))
     out, new_scene = synthgen.remap_frames(frames, scene, palette_map, new_gain)
     ref, ref_scene = reference_remap(frames, scene, palette_map, new_gain)

@@ -97,18 +97,46 @@ def test_unary_op_grads_match_finite_differences(op):
     assert rel_err(auto["x"], fd["x"]) < 1e-4
 
 
-def test_matmul_broadcast_grad():
+@pytest.mark.parametrize("op", [
+    pytest.param(lambda p: p["a"] @ p["b"], id="matmul"),
+    pytest.param(lambda p: p["a"].affine(p["b"], p["c"]), id="affine")])
+def test_matmul_broadcast_grad(op):
+    """`b` and the bias `c` broadcast over the leading axis of `a`; matmul
+    ignores `c`, so both gradients of `c` are zero there."""
     rng = np.random.default_rng(3)
-    a = rng.normal(size=(2, 3, 4))
-    b = rng.normal(size=(4, 5))
+    params = {"a": rng.normal(size=(2, 3, 4)), "b": rng.normal(size=(4, 5)),
+              "c": rng.normal(size=5)}
 
     def loss(p):
-        return ((p["a"] @ p["b"]) ** 2.0).sum()
+        return (op(p) ** 2.0).sum()
 
-    auto = autodiff_grad(loss, {"a": a, "b": b})
-    fd = finite_diff_grad(loss, {"a": a, "b": b}, eps=1e-6)
-    assert rel_err(auto["a"], fd["a"]) < 1e-4
-    assert rel_err(auto["b"], fd["b"]) < 1e-4
+    auto = autodiff_grad(loss, params)
+    fd = finite_diff_grad(loss, params, eps=1e-6)
+    for name in params:
+        assert rel_err(auto[name], fd[name]) < 1e-4, name
+
+
+def test_affine_has_the_bits_of_matmul_then_add():
+    """`x.affine(w, b)` is `(x @ w) + b` in one op, at a linear layer's
+    shapes: the same output bytes with and without a graph, and the same
+    gradients of x, w and b for an upstream gradient `g` through `* g`."""
+    rng = np.random.default_rng(14)
+    arrays = [rng.normal(size=s) for s in ((5, 40, 64), (64, 256), (256,))]
+    g = Tensor(rng.normal(size=(5, 40, 256)))
+
+    def run(op):
+        x, w, b = (Tensor(a, requires_grad=True) for a in arrays)
+        with no_grad():
+            plain = op(x, w, b)
+        out = op(x, w, b)
+        (out * g).sum().backward()
+        return {"plain": plain.data, "graph": out.data,
+                "x": x.grad, "w": w.grad, "b": b.grad}
+
+    fused = run(lambda x, w, b: x.affine(w, b))
+    pair = run(lambda x, w, b: (x @ w) + b)
+    for name in pair:
+        assert fused[name].tobytes() == pair[name].tobytes(), name
 
 
 def test_concat_embedding_getitem_grads():
@@ -297,6 +325,7 @@ FRESH_OPS = [pytest.param(op, id=name) for name, op in {
     "softmax": lambda x: x.softmax(axis=-1),
     "layer_norm": lambda x: x.layer_norm(),
     "matmul": lambda x: x @ Tensor(np.ones((3, 2))),
+    "affine": lambda x: x.affine(Tensor(np.ones((3, 2))), Tensor(np.ones(2))),
     "sum": lambda x: x.sum(axis=0),
     "concat": lambda x: concat([x, x], axis=0),
 }.items()]
