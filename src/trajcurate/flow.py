@@ -4,7 +4,9 @@ ROADMAP item 3, not built yet, is meant to train with it too.
 The probability path linearly interpolates data x toward Gaussian noise eps
 as t runs 0 -> 1 (x_t = (1-t)x + t*eps), the regression target is the
 constant velocity eps - x, and sampling integrates an Euler scheme from t=1
-back to t=0. Time is drawn uniformly per item; all randomness is seeded.
+back to t=0. Time is drawn uniformly per item; all randomness is seeded:
+`train_fm` draws its noise from the step's seed, and a sampler's caller
+draws the starting noise it passes to `euler_sample`.
 """
 
 from __future__ import annotations
@@ -40,16 +42,18 @@ class VelocityModel(Protocol):
 
 
 def euler_sample(velocity_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                 shape: tuple[int, ...], steps: int, seed: int) -> np.ndarray:
-    """Integrate from seeded noise at t=1 down to t=0 in `steps` Euler steps."""
+                 noise: np.ndarray, steps: int) -> np.ndarray:
+    """Integrate from `noise` at t=1 down to t=0 in `steps` Euler steps.
+
+    The caller draws the noise, so it can stack independently seeded runs
+    into one batch: each row's path reads only its own velocity rows."""
     if steps < 1:
         raise ValueError("need at least one integration step")
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(shape)
+    x = noise
     dt = 1.0 / steps
     for k in range(steps):
         t = 1.0 - k * dt
-        v = np.asarray(velocity_fn(x, np.full(shape[:1], t)))
+        v = np.asarray(velocity_fn(x, np.full(len(x), t)))
         x = x - dt * v
     return x
 

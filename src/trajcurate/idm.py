@@ -4,17 +4,19 @@ A small patch-token transformer conditions on the two endpoint frames (with a
 learned frame-index embedding) and denoises the whole chunk of intermediate
 actions. As in pi0's action expert, attention is block-causal: the frame
 tokens never read the action rows, so their keys and values are cached once per
-batch and each Euler step runs only the action rows. Sliding it over a video in
-non-overlapping windows pseudo-labels generated videos with actions; the final
-partial window conditions on (frame_t, last frame) and keeps only the rows that
-exist, so a T-frame video always receives exactly T-1 action rows.
+batch and each Euler step runs only the action rows. A prediction averages
+several seeded denoising runs, integrated as one batch per group of runs, a
+group per core. Sliding it over a video in non-overlapping windows
+pseudo-labels generated videos with actions; the final partial window
+conditions on (frame_t, last frame) and keeps only the rows that exist, so a
+T-frame video always receives exactly T-1 action rows.
 """
 
 from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,6 +45,11 @@ class IdmHyper:
     resolution: int = 64
     euler_steps: int = 8
     sample_avg: int = 4      # denoising runs averaged per prediction
+
+    def __post_init__(self):
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be positive, got {getattr(self, f.name)!r}")
 
 
 class IdmModel:
@@ -176,21 +183,31 @@ def _predict_batch(model: IdmModel, frames_a: np.ndarray, frames_b: np.ndarray,
     The conditioning is the same for every run and step, so it is computed
     once, and the runs only read it.
 
-    The runs are independent, so `parallel.run` runs them side by side;
-    `velocity_fn` enters `no_grad` on whichever thread runs it. The runs are
-    averaged in run order, so the labels do not depend on which thread
-    finished first."""
+    The runs are split into contiguous groups, one per `parallel.run` call,
+    and each group integrates its runs as one batch: their noises stacked
+    along the batch axis, the conditioning tiled to match. Each group holds
+    at least two runs when there are two, so no velocity call has a single
+    row: a one-row `time_proj` product takes another BLAS kernel with other
+    bits, and the labels would then depend on the core count. The runs are
+    averaged in run order, so the labels depend neither on the grouping nor
+    on which thread finished first."""
+    hyper = model.hyper
     with no_grad():
         cond = model.condition(frames_a, frames_b)
+    shape = (len(frames_a), hyper.horizon, ACTION_DIM)
 
-    def velocity_fn(x_t, t):
-        with no_grad():
-            return model.velocity(x_t, t, cond).readout()
+    def sample_group(runs: range) -> np.ndarray:
+        noise = np.concatenate([rng_for(seed, "avg", j).standard_normal(shape) for j in runs])
+        with no_grad():        # the grad mode is per thread
+            tiled = [tuple(concat([t] * len(runs)) for t in kv) for kv in cond]
+            x = flow.euler_sample(lambda x_t, t: model.velocity(x_t, t, tiled).readout(),
+                                  noise, hyper.euler_steps)
+        return x.reshape(len(runs), *shape)
 
-    shape = (len(frames_a), model.hyper.horizon, ACTION_DIM)
-    runs = parallel.run([functools.partial(flow.euler_sample, velocity_fn, shape,
-                                           model.hyper.euler_steps, derive_seed(seed, "avg", j))
-                         for j in range(model.hyper.sample_avg)])
+    n_groups = max(1, min(parallel.cores(), hyper.sample_avg // 2))
+    bounds = [hyper.sample_avg * g // n_groups for g in range(n_groups + 1)]
+    runs = np.concatenate(parallel.run([functools.partial(sample_group, range(lo, hi))
+                                        for lo, hi in zip(bounds, bounds[1:])]))
     return _clip_chunk(model.denormalize(np.mean(runs, axis=0)))
 
 

@@ -2,10 +2,13 @@
 worker thread per further core.
 
 The numpy and scipy kernels of a model pass release the GIL, so independent
-passes (encoder batches, the IDM's averaged denoising runs) overlap on
-threads. The grad mode is per thread (`tensor.no_grad`), so each call enters
-`no_grad` itself. The calling thread takes calls too, so one core's share of
-the arrays stays in the caller's own allocator arena.
+passes (encoder batches, the IDM's groups of averaged denoising runs) overlap
+on threads. Two threads run each call slower than one, and a call of twice
+the rows costs less than two calls, so the IDM makes at most one call per
+core, as `cores()` counts them. The grad mode is per thread
+(`tensor.no_grad`), so each call enters `no_grad` itself. The calling thread
+takes calls too, so one core's share of the arrays stays in the caller's own
+allocator arena.
 """
 
 from __future__ import annotations

@@ -161,9 +161,14 @@ class SceneSpec:
         if not (0.5 <= self.lighting_gain <= 1.5):
             raise ValueError("lighting_gain outside [0.5, 1.5]")
         # the robot and zone colors are reserved: no scene element takes them
-        for color in (self.table_color, self.background_color, *(o.color for o in self.objects)):
+        for color in self.colors:
             if color not in SCENE_COLOR_INDICES:
                 raise ValueError(f"color {color!r} is not a scene color index")
+
+    @property
+    def colors(self) -> tuple[int, ...]:
+        """The table's, the background's, then each object's colour, repeats kept."""
+        return (self.table_color, self.background_color, *(o.color for o in self.objects))
 
     def to_dict(self) -> dict:
         # background_id, target_index and distractor_count follow from the

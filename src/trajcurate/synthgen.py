@@ -111,8 +111,7 @@ def edit_initial_scene(scene: SceneSpec, axes: Iterable[str],
     for axis in axes:
         if axis not in EDIT_AXES:
             raise ValueError(f"unknown edit axis {axis!r}")
-    used = {scene.table_color, scene.background_color,
-            *(o.color for o in scene.objects)}
+    used = set(scene.colors)
     out = scene
     for axis in ("table", "background"):
         if axis in axes:
@@ -140,7 +139,7 @@ def apply_palette_map(scene: SceneSpec, palette_map: dict[int, int],
         raise ValueError("palette map must not remap or introduce the reserved "
                          "robot color")
     remap = lambda c: palette_map.get(c, c)
-    used = {scene.table_color, scene.background_color, *(o.color for o in scene.objects)}
+    used = set(scene.colors)
     if len({remap(c) for c in used}) < len(used):
         raise ValueError("palette map gives two of the scene's colors one color")
     objects = tuple(replace(o, color=remap(o.color)) for o in scene.objects)
@@ -204,8 +203,7 @@ def restyle_video(episode: Episode, palette_map: dict[int, int],
 
 def random_palette_map(scene: SceneSpec, rng: np.random.Generator) -> dict[int, int]:
     """Injective recolor of the scene's palette entries."""
-    used = list(dict.fromkeys(
-        [scene.table_color, scene.background_color, *(o.color for o in scene.objects)]))
+    used = list(dict.fromkeys(scene.colors))
     targets = rng.choice(sim.SCENE_COLOR_INDICES, size=len(used), replace=False)
     return {src: int(dst) for src, dst in zip(used, targets)}
 

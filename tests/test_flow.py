@@ -80,10 +80,8 @@ def constant_oracle(x, eps_true, data):
 def test_euler_constant_field_recovers_data():
     rng = np.random.default_rng(5)
     data = rng.normal(size=(2, 4))
-    noise_rng = np.random.default_rng(9)
-    eps_true = noise_rng.standard_normal((2, 4))
-    out = euler_sample(constant_oracle(None, eps_true, data), (2, 4),
-                       steps=1, seed=9)
+    eps_true = np.random.default_rng(9).standard_normal((2, 4))
+    out = euler_sample(constant_oracle(None, eps_true, data), eps_true, steps=1)
     assert np.allclose(out, data, atol=1e-12)
 
 
@@ -92,18 +90,19 @@ def test_euler_step_count_invariant_for_constant_field():
     data = rng.normal(size=(3, 2))
     eps_true = np.random.default_rng(11).standard_normal((3, 2))
     fn = constant_oracle(None, eps_true, data)
-    a = euler_sample(fn, (3, 2), steps=1, seed=11)
-    b = euler_sample(fn, (3, 2), steps=10, seed=11)
+    a = euler_sample(fn, eps_true, steps=1)
+    b = euler_sample(fn, eps_true, steps=10)
     assert np.allclose(a, b, atol=1e-10)
 
 
 def test_euler_deterministic():
     fn = lambda x, t: np.zeros_like(x)
-    a = euler_sample(fn, (2, 2), steps=4, seed=3)
-    b = euler_sample(fn, (2, 2), steps=4, seed=3)
-    assert np.array_equal(a, b)
+    noise = np.random.default_rng(3).standard_normal((2, 2))
+    a = euler_sample(fn, noise, steps=4)
+    b = euler_sample(fn, noise, steps=4)
+    assert np.array_equal(a, b) and np.array_equal(a, noise)
     with pytest.raises(ValueError):
-        euler_sample(fn, (2, 2), steps=0, seed=3)
+        euler_sample(fn, noise, steps=0)
 
 
 class ScalarModel:

@@ -1,13 +1,15 @@
 import math
 import os
 import threading
+from dataclasses import fields
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from trajcurate import flow, idm, optim, sim
+from trajcurate import flow, idm, optim, parallel, sim
 from trajcurate.nn import time_features
 from trajcurate.seeding import derive_seed
 from trajcurate.tensor import no_grad
@@ -42,20 +44,22 @@ def random_video(t, seed=0, resolution=32):
 
 
 def reference_label_video(video, model):
-    """One Euler sample per averaged run, each step rebuilding the
-    conditioning from the raw frames, with the graph on."""
-    h = model.hyper.horizon
+    """All averaged runs as one Euler sample over their stacked noises, each
+    step rebuilding the conditioning of every run from the raw frames, with
+    the graph on."""
+    h, n_runs = model.hyper.horizon, model.hyper.sample_avg
     starts = list(range(0, len(video) - 1, h))
     ends = [min(s + h, len(video) - 1) for s in starts]
+    frames_a, frames_b = (np.concatenate([video[idx]] * n_runs) for idx in (starts, ends))
 
     def velocity_fn(x_t, t):
-        return model.velocity(x_t, t, model.condition(video[starts], video[ends])).data
+        return model.velocity(x_t, t, model.condition(frames_a, frames_b)).data
 
     base = derive_seed(idm.LABEL_SEED, "label-windows")
     shape = (len(starts), h, idm.ACTION_DIM)
-    runs = [flow.euler_sample(velocity_fn, shape, model.hyper.euler_steps,
-                              derive_seed(base, "avg", j))
-            for j in range(model.hyper.sample_avg)]
+    rngs = [np.random.default_rng(derive_seed(base, "avg", j)) for j in range(n_runs)]
+    noise = np.concatenate([rng.standard_normal(shape) for rng in rngs])
+    runs = flow.euler_sample(velocity_fn, noise, model.hyper.euler_steps).reshape(n_runs, *shape)
     chunks = model.denormalize(np.mean(runs, axis=0))
     chunks[..., [0, 1, 3, 4]] = np.clip(chunks[..., [0, 1, 3, 4]], -sim.A_MAX, sim.A_MAX)
     chunks[..., [2, 5]] = np.clip(chunks[..., [2, 5]], 0.0, 1.0)
@@ -76,6 +80,26 @@ def test_label_video_matches_per_step_reference():
             video = random_video(t, seed=t, resolution=model.hyper.resolution)
             labels = idm.label_video(video, model)
             assert labels.tobytes() == reference_label_video(video, model).tobytes()
+
+
+def test_label_video_same_bytes_on_any_core_count(monkeypatch):
+    """The runs are grouped by core count, and the labels must not follow:
+    no group is a single run, so no velocity call has a single row, even on
+    a one-window video."""
+    model = default_model()
+    videos = [random_video(t, seed=t, resolution=model.hyper.resolution) for t in (2, 20, 121)]
+    labels = []
+    for n in (1, 2, 3, 4):
+        monkeypatch.setattr(parallel, "cores", lambda n=n: n)
+        labels.append([idm.label_video(video, model).tobytes() for video in videos])
+    assert all(by_core_count == labels[0] for by_core_count in labels)
+
+
+def test_hyper_rejects_non_positive_fields():
+    for field in fields(idm.IdmHyper):
+        for bad in (0, -2):
+            with pytest.raises(ValueError, match=field.name):
+                idm.IdmHyper(**{field.name: bad})
 
 
 def test_label_video_leaves_no_thread_and_grad_on():
