@@ -63,19 +63,17 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, float]]:
 
 def hyper_from_meta(cls: type[H], meta: dict[str, float]) -> H:
     """Rebuild the hyper dataclass `cls` from checkpoint meta; every field
-    must be present with a positive integral value, and `dim` must split
-    evenly over `heads`."""
+    must be present and integral, and the values must pass `cls`'s checks."""
     values = {}
     for f in fields(cls):
         value = meta.get(f.name)
-        if value is None or not float(value).is_integer() or value < 1:
-            raise CheckpointError(
-                f"meta field {f.name!r} missing or not a positive integer: {value!r}")
+        if value is None or not float(value).is_integer():
+            raise CheckpointError(f"meta field {f.name!r} missing or not an integer: {value!r}")
         values[f.name] = int(value)
-    if values["dim"] % values["heads"]:
-        raise CheckpointError(
-            f"meta dim {values['dim']} is not divisible by heads {values['heads']}")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise CheckpointError(f"meta: {exc}") from exc
 
 
 def model_state(model, arrays=None, meta=None) -> tuple[dict[str, np.ndarray], dict[str, float]]:

@@ -22,8 +22,8 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, load_model, model_state, save_checkpoint
 from .dataset import Episode
-from .nn import Linear, ParamStore, Trunk, patch_grid, unit_range
-from .optim import AdamW, LrSchedule, train_step, wsd_lr
+from .nn import Hyper, Linear, ParamStore, Trunk, patch_grid, unit_range
+from .optim import LrSchedule, train
 from .seeding import rng_for
 from .synthgen import random_palette_map, remap_frames
 from .tensor import Tensor, no_grad
@@ -63,7 +63,7 @@ def cut_clips(eff: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EncoderHyper:
+class EncoderHyper(Hyper):
     dim: int = 64
     heads: int = 4
     blocks: int = 2
@@ -150,19 +150,18 @@ def nt_xent_loss(embeddings: Tensor, temperature: float) -> Tensor:
 def pretrain_encoder(episodes: list[Episode],
                      config: EncoderTrainConfig = EncoderTrainConfig(),
                      hyper: EncoderHyper = EncoderHyper()) -> EncoderModel:
-    """Restyle-contrastive pretraining; the returned encoder is frozen."""
+    """Restyle-contrastive pretraining through `optim.train`, step tag
+    "enc-step"; the returned encoder is frozen."""
     if len(episodes) < 2:
         raise ValueError("need at least two episodes for in-batch negatives")
     windows = [clip_windows(ep.frames) for ep in episodes]
     inventory = [(i, w) for i, ws in enumerate(windows) for w in range(len(ws))]
 
     model = EncoderModel(hyper, seed=config.seed)
-    opt = AdamW()
     schedule = LrSchedule(base_lr=PRETRAIN_LR, total_steps=config.steps,
                           stable_steps=int(config.steps * 0.8))
 
-    for step_idx in range(config.steps):
-        rng = rng_for(config.seed, "enc-step", step_idx)
+    def loss_fn(rng: np.random.Generator) -> Tensor:
         picks = rng.integers(0, len(inventory), size=config.batch_clips)
         views = []
         for p in picks:
@@ -174,10 +173,8 @@ def pretrain_encoder(episodes: list[Episode],
                 recolored, _ = remap_frames(windows[ei][w], scene, pal, gain)
                 views.append(recolored)
         batch = np.stack(views)                       # (2B, CLIP_LEN, H, W, 3)
-        train_step(model.params,
-                   lambda: nt_xent_loss(model.encode(batch).mean(axis=1),
-                                        TEMPERATURE),
-                   opt, wsd_lr(step_idx, schedule))
+        return nt_xent_loss(model.encode(batch).mean(axis=1), TEMPERATURE)
 
+    train(model.params, loss_fn, config.steps, schedule, config.seed, "enc-step")
     model.frozen = True
     return model

@@ -6,7 +6,8 @@ as t runs 0 -> 1 (x_t = (1-t)x + t*eps), the regression target is the
 constant velocity eps - x, and sampling integrates an Euler scheme from t=1
 back to t=0. Time is drawn uniformly per item; all randomness is seeded:
 `train_fm` draws its noise from the step's seed, and a sampler's caller
-draws the starting noise it passes to `euler_sample`.
+draws the starting noise it passes to `euler_sample`. On a non-finite value,
+training raises RuntimeError naming the step, sampling FloatingPointError.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from typing import Any, Callable, Protocol
 
 import numpy as np
 
-from .optim import AdamW, LrSchedule, train_step, wsd_lr
-from .seeding import rng_for
+from .optim import LrSchedule, train
 from .tensor import Tensor
 
 
@@ -69,31 +69,15 @@ class TrainConfig:
 def train_fm(model: VelocityModel,
              batch_fn: Callable[[np.random.Generator], tuple[np.ndarray, Any]],
              config: TrainConfig) -> list[float]:
-    """Generic flow-matching loop: AdamW + schedule over seeded batches.
+    """`optim.train` of the flow-matching loss, step tag "fm-step". batch_fn(rng)
+    returns (clean, conditioning), whatever `velocity` takes, built in the graph
+    so parameters it reads train too; noise and time are drawn after it."""
+    def loss_fn(rng: np.random.Generator) -> Tensor:
+        clean, conditioning = batch_fn(rng)
+        clean = np.asarray(clean, dtype=np.float64)
+        noise = rng.standard_normal(clean.shape)
+        t = rng.uniform(0.0, 1.0, size=len(clean))
+        return fm_loss(model.velocity(interpolate(clean, noise, t), t, conditioning),
+                       clean, noise)
 
-    batch_fn(rng) returns (clean, conditioning): whatever the model's
-    `velocity` takes, built in the graph, so parameters it reads train too.
-    Noise and time are drawn here so all models share the same batch
-    construction. A non-finite value, in the batch too, raises RuntimeError.
-    Returns the per-step loss log. Zero steps leave the model untouched.
-    """
-    opt = AdamW()
-    losses: list[float] = []
-    for step_idx in range(config.steps):
-        rng = rng_for(config.seed, "fm-step", step_idx)
-        try:
-            clean, conditioning = batch_fn(rng)
-            clean = np.asarray(clean, dtype=np.float64)
-            noise = rng.standard_normal(clean.shape)
-            t = rng.uniform(0.0, 1.0, size=len(clean))
-            x_t = interpolate(clean, noise, t)
-            loss = train_step(
-                model.params,
-                lambda: fm_loss(model.velocity(x_t, t, conditioning), clean, noise),
-                opt, wsd_lr(step_idx, config.schedule))
-        except FloatingPointError as exc:
-            raise RuntimeError(
-                f"non-finite loss at step {step_idx} "
-                f"(last finite losses: {losses[-3:]})") from exc
-        losses.append(loss)
-    return losses
+    return train(model.params, loss_fn, config.steps, config.schedule, config.seed, "fm-step")

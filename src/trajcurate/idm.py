@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import flow, parallel, sim
 from .checkpoint import CheckpointError, load_checkpoint, load_model, model_state, save_checkpoint
 from .dataset import Episode
-from .nn import Linear, ParamStore, Trunk, patchify, time_features
+from .nn import Hyper, Linear, ParamStore, Trunk, patchify, time_features
 from .seeding import derive_seed, rng_for
 from .tensor import Tensor, concat, no_grad
 
@@ -37,7 +37,7 @@ GEOMETRY = {"patch": PATCH, "block_causal": 1}   # older files lack block_causal
 
 
 @dataclass(frozen=True)
-class IdmHyper:
+class IdmHyper(Hyper):
     dim: int = 64
     heads: int = 4
     blocks: int = 3
@@ -45,11 +45,6 @@ class IdmHyper:
     resolution: int = 64
     euler_steps: int = 8
     sample_avg: int = 4      # denoising runs averaged per prediction
-
-    def __post_init__(self):
-        for f in fields(self):
-            if getattr(self, f.name) < 1:
-                raise ValueError(f"{f.name} must be positive, got {getattr(self, f.name)!r}")
 
 
 class IdmModel:

@@ -9,11 +9,26 @@ the functional gradient API stay trivial.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from .tensor import Tensor, attention, concat
 
 INIT_SCALE = 0.02
+
+
+class Hyper:
+    """Base of each model's frozen hyperparameter dataclass: every field is a
+    positive integer, and `dim` is divisible by `heads`."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(f"{f.name} must be a positive integer, got {value!r}")
+        if self.dim % self.heads:
+            raise ValueError(f"dim {self.dim} is not divisible by heads {self.heads}")
 
 
 class ParamStore:

@@ -1,5 +1,7 @@
-"""AdamW with decoupled weight decay, one training step, and the
-stable-then-decay LR schedule."""
+"""AdamW with decoupled weight decay, one training step, the seeded training
+loop and the stable-then-decay LR schedule. Every trainer steps through
+`train_step`, so training raises RuntimeError naming the step on a non-finite
+value, where inference raises the FloatingPointError of `tensor`."""
 
 from __future__ import annotations
 
@@ -8,9 +10,10 @@ from typing import Callable
 
 import numpy as np
 
+from .seeding import rng_for
 from .tensor import Tensor
 
-__all__ = ["AdamW", "train_step", "LrSchedule", "wsd_lr"]
+__all__ = ["AdamW", "train_step", "train", "LrSchedule", "wsd_lr"]
 
 BETAS = (0.9, 0.999)    # moment decay rates
 EPS = 1e-8
@@ -58,17 +61,31 @@ def train_step(params: dict[str, Tensor], loss_fn: Callable[[], Tensor],
                opt: AdamW, lr: float) -> float:
     """Zero the grads, backpropagate loss_fn() and take one optimizer step.
 
-    An unused parameter gets a zero gradient. Returns the loss as a float, so
-    the caller holds no reference to the step's autodiff graph.
+    An unused parameter gets a zero gradient. A FloatingPointError in the loss
+    or the backward pass becomes RuntimeError naming the step. Returns the loss
+    as a float, so the caller holds no reference to the step's autodiff graph.
     """
     for t in params.values():
         t.grad = None
-    loss = loss_fn()
-    loss.backward()
+    try:
+        loss = loss_fn()
+        loss.backward()
+    except FloatingPointError as exc:
+        raise RuntimeError(f"non-finite value at step {opt.step_count}: {exc}") from exc
     grads = {name: t.grad if t.grad is not None else np.zeros_like(t.data)
              for name, t in params.items()}
     opt.step({name: t.data for name, t in params.items()}, grads, lr)
     return loss.item()
+
+
+def train(params: dict[str, Tensor], loss_fn: Callable[[np.random.Generator], Tensor],
+          steps: int, schedule: LrSchedule, seed: int, tag: str) -> list[float]:
+    """`steps` steps of one AdamW: step k is `train_step` on
+    loss_fn(rng_for(seed, tag, k)) at `wsd_lr(k, schedule)`. Returns the loss
+    log; zero steps leave the parameters untouched."""
+    opt = AdamW()
+    return [train_step(params, lambda: loss_fn(rng_for(seed, tag, k)), opt, wsd_lr(k, schedule))
+            for k in range(steps)]
 
 
 @dataclass(frozen=True)

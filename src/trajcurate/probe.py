@@ -23,7 +23,7 @@ from . import parallel, sim
 from .checkpoint import load_checkpoint, load_model, model_state, save_checkpoint
 from .dataset import Episode
 from .encoder import STRIDE, EncoderModel, clip_windows, cut_clips
-from .nn import LayerNorm, Linear, MultiHeadAttention, ParamStore
+from .nn import Hyper, LayerNorm, Linear, MultiHeadAttention, ParamStore
 from .optim import AdamW, train_step
 from .seeding import rng_for
 from .synthgen import NeuralSample
@@ -112,7 +112,7 @@ def build_pairs(episodes: list[Episode], seed: int = 0) -> PairSet:
 
 
 @dataclass(frozen=True)
-class ProbeHyper:
+class ProbeHyper(Hyper):
     dim: int = 64
     heads: int = 8
 

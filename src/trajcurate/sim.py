@@ -548,17 +548,3 @@ def canonical_scene(scene: SceneSpec) -> SceneSpec:
     return replace(scene, table_color=CANONICAL_TABLE,
                    background_color=CANONICAL_BACKGROUND,
                    lighting_gain=1.0, objects=objects)
-
-
-def scene_color_table(scene: SceneSpec) -> dict[str, tuple[int, int, int]]:
-    """Exact rendered RGB per scene element (used by palette remapping)."""
-    table: dict[str, tuple[int, int, int]] = {
-        "background": tuple(int(v) for v in background_value(scene.background_color,
-                                                             scene.lighting_gain)),
-        "table": tuple(int(v) for v in PALETTE[scene.table_color]),
-    }
-    for name, idx in ZONE_COLOR_INDEX.items():
-        table[f"zone:{name}"] = tuple(int(v) for v in PALETTE[idx])
-    for i, obj in enumerate(scene.objects):
-        table[f"object:{i}"] = tuple(int(v) for v in PALETTE[obj.color])
-    return table

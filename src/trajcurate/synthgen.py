@@ -148,20 +148,24 @@ def apply_palette_map(scene: SceneSpec, palette_map: dict[int, int],
                    lighting_gain=float(new_gain), objects=objects)
 
 
+def _packed_colors(scene: SceneSpec) -> list[int]:
+    """Rendered RGB as r << 16 | g << 8 | b of the lit background, each object
+    in index order, then the table. Zones never change colour, and no scene
+    element renders in the robot's, so neither is listed."""
+    rgb = np.stack([sim.background_value(scene.background_color, scene.lighting_gain),
+                    *(sim.PALETTE[o.color] for o in scene.objects),
+                    sim.PALETTE[scene.table_color]]).astype(np.uint32)
+    return (rgb[:, 0] << 16 | rgb[:, 1] << 8 | rgb[:, 2]).tolist()
+
+
 def remap_frames(frames: np.ndarray, scene: SceneSpec,
                  palette_map: dict[int, int],
                  new_gain: float) -> tuple[np.ndarray, SceneSpec]:
     """Exact per-pixel recolor of non-robot pixels; returns (frames, new scene)."""
     new_scene = apply_palette_map(scene, palette_map, new_gain)
-    old_colors = sim.scene_color_table(scene)
-    new_colors = sim.scene_color_table(new_scene)
-    robot = tuple(int(v) for v in sim.PALETTE[sim.ROBOT_COLOR_INDEX])
-    value_map: dict[tuple, tuple] = {}
-    for key in sorted(old_colors):
-        src, dst = old_colors[key], new_colors[key]
-        if src == robot or src in value_map:
-            continue
-        value_map[src] = dst
+    value_map: dict[int, int] = {}
+    for src, dst in zip(_packed_colors(scene), _packed_colors(new_scene)):
+        value_map.setdefault(src, dst)      # a repeated source keeps its first target
     # One uint32 per pixel (r << 16 | g << 8 | b), built in place. Each colour
     # is one equality test on the packed plane and one scalar fill of its copy,
     # which is cheaper than writing 3-byte rows through a mask; the recoloured
@@ -175,8 +179,7 @@ def remap_frames(frames: np.ndarray, scene: SceneSpec,
     out32 = packed.copy()
     for src, dst in value_map.items():
         if src != dst:
-            out32[packed == (src[0] << 16 | src[1] << 8 | src[2])] = (
-                dst[0] << 16 | dst[1] << 8 | dst[2])
+            out32[packed == src] = dst
     # assigning uint32 to uint8 keeps the low byte of each value
     out = np.empty(frames.shape, dtype=np.uint8)
     out[..., 2] = out32

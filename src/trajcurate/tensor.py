@@ -13,7 +13,8 @@ Graph and finite-check policy, decided in `_op` alone: an op result joins the
 graph (keeps its parents and backward function) only when grad is enabled and
 some parent needs a gradient. A Tensor built from outside data is always
 checked for NaN and infinity, an op result only while grad is enabled; both
-raise FloatingPointError. The code that reads a `no_grad` result back into
+raise FloatingPointError, which a training step (`optim.train_step`) re-raises
+as RuntimeError naming the step. The code that reads a `no_grad` result into
 numpy calls `Tensor.readout()`, which checks it once. A non-finite value that
 a later op maps to a finite one (a score of minus infinity that softmax turns
 into a zero weight) is therefore reported during training but not during

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from trajcurate import flow, idm, optim, parallel, sim
+from trajcurate.encoder import EncoderHyper
 from trajcurate.nn import time_features
+from trajcurate.probe import ProbeHyper
 from trajcurate.seeding import derive_seed
 from trajcurate.tensor import no_grad
 
@@ -96,10 +98,15 @@ def test_label_video_same_bytes_on_any_core_count(monkeypatch):
 
 
 def test_hyper_rejects_non_positive_fields():
-    for field in fields(idm.IdmHyper):
-        for bad in (0, -2):
-            with pytest.raises(ValueError, match=field.name):
-                idm.IdmHyper(**{field.name: bad})
+    """One rule for the three models: every field a positive integer, and
+    `dim` divisible by `heads`."""
+    for cls in (idm.IdmHyper, EncoderHyper, ProbeHyper):
+        for field in fields(cls):
+            for bad in (0, -2, 1.5):
+                with pytest.raises(ValueError, match=field.name):
+                    cls(**{field.name: bad})
+        with pytest.raises(ValueError, match="dim 12 is not divisible by heads 8"):
+            cls(dim=12, heads=8)
 
 
 def test_label_video_leaves_no_thread_and_grad_on():

@@ -327,6 +327,25 @@ def test_nan_mid_trunk_raises_in_idm_training(poisoned):
         flow.train_fm(model, batch_fn, config)
 
 
+def test_nan_raises_runtime_error_in_encoder_pretraining(monkeypatch):
+    """Pretraining fails as IDM training does: RuntimeError naming the step."""
+    monkeypatch.setattr("trajcurate.encoder.EncoderModel",
+                        lambda hyper, seed: poison(EncoderModel(hyper, seed), MID_TRUNK))
+    config = EncoderTrainConfig(steps=2, batch_clips=2)
+    with pytest.raises(RuntimeError, match="non-finite value at step 0"):
+        pretrain_encoder(dataset.collect_demos(2, seed=0), config,
+                         dataclasses.replace(NAN_ENCODER, resolution=64))
+
+
+def test_nan_raises_runtime_error_in_probe_training(monkeypatch):
+    monkeypatch.setattr("trajcurate.probe.ProbeModel",
+                        lambda hyper, seed: poison(ProbeModel(hyper, seed), "wo.w"))
+    encoder = EncoderModel(TINY_ENCODER, seed=5)
+    encoder.frozen = True
+    with pytest.raises(RuntimeError, match="non-finite value at step 0"):
+        train_probe(random_pair_set(5, 2, seed=5), encoder, ProbeTrainConfig(max_epochs=2))
+
+
 def test_nan_mid_trunk_raises_in_encoder_readout():
     model = poison(EncoderModel(NAN_ENCODER, seed=1), MID_TRUNK)
     with pytest.raises(FloatingPointError):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from trajcurate.optim import WEIGHT_DECAY, AdamW, LrSchedule, wsd_lr
+from trajcurate.optim import WEIGHT_DECAY, AdamW, LrSchedule, train, train_step, wsd_lr
+from trajcurate.seeding import rng_for
+from trajcurate.tensor import Tensor
 
 
 def test_adamw_first_step_hand_computed():
@@ -106,3 +108,59 @@ def test_adamw_in_place_matches_reference_bytes():
         assert opt.first_moment[k].tobytes() == m[k].tobytes(), k
         assert opt.second_moment[k].tobytes() == v[k].tobytes(), k
         assert not np.shares_memory(opt.first_moment[k], opt.second_moment[k]), k
+
+
+def quadratic_loss(p, draws):
+    """A loss of `p` that records one draw of each step's generator."""
+    def loss_fn(rng):
+        draws.append(rng.random())
+        return ((p - Tensor(np.array([draws[-1], 0.5]))) ** 2).sum()
+    return loss_fn
+
+
+def test_train_seeds_step_k_with_its_own_generator():
+    """Step k draws from rng_for(seed, tag, k) and steps at wsd_lr(k): the
+    same bytes as the loop written out with `train_step`. Zero steps draw
+    nothing and leave the parameters as they were."""
+    sched = LrSchedule(base_lr=0.1, total_steps=4, stable_steps=2)
+    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    draws = []
+    losses = train({"p": p}, quadratic_loss(p, draws), 4, sched, seed=7, tag="t-step")
+    assert draws == [rng_for(7, "t-step", k).random() for k in range(4)]
+    assert len(losses) == 4 and all(type(loss) is float for loss in losses)
+
+    q = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    opt, hand_loss = AdamW(), quadratic_loss(q, [])
+    hand = []
+    for k in range(4):
+        rng = rng_for(7, "t-step", k)
+        hand.append(train_step({"p": q}, lambda: hand_loss(rng), opt, wsd_lr(k, sched)))
+    assert losses == hand
+    assert p.data.tobytes() == q.data.tobytes()
+
+    before = p.data.copy()
+    assert train({"p": p}, quadratic_loss(p, draws), 0, sched, seed=7, tag="t-step") == []
+    assert len(draws) == 4 and np.array_equal(p.data, before)
+
+
+@pytest.mark.parametrize("where", ["loss", "backward"])
+def test_train_step_reports_a_non_finite_value_with_its_step(where):
+    """A FloatingPointError in the loss or in the backward pass becomes
+    RuntimeError naming the step: the optimizer's count of steps taken."""
+    p = Tensor(np.array([1.0]), requires_grad=True)
+    opt = AdamW()
+    train_step({"p": p}, lambda: (p * p).sum(), opt, 0.1)
+
+    def fail(*_):
+        raise FloatingPointError(f"in the {where}")
+
+    def loss_fn():
+        if where == "loss":
+            fail()
+        loss = (p * p).sum()
+        loss._backward = fail
+        return loss
+
+    with pytest.raises(RuntimeError, match=f"non-finite value at step 1: in the {where}"):
+        train_step({"p": p}, loss_fn, opt, 0.1)
+    assert opt.step_count == 1

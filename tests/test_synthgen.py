@@ -169,11 +169,25 @@ def test_restyled_actions_still_pass_oracle(demo_seed, palette_seed):
     assert sim.task_success(out.scene, states, out.instruction)
 
 
+def element_colors(scene):
+    """Exact rendered RGB per scene element, the robot aside, keyed by name."""
+    table = {"background": tuple(int(v) for v in sim.background_value(
+                 scene.background_color, scene.lighting_gain)),
+             "table": tuple(int(v) for v in sim.PALETTE[scene.table_color])}
+    for name, idx in sim.ZONE_COLOR_INDEX.items():
+        table[f"zone:{name}"] = tuple(int(v) for v in sim.PALETTE[idx])
+    for i, obj in enumerate(scene.objects):
+        table[f"object:{i}"] = tuple(int(v) for v in sim.PALETTE[obj.color])
+    return table
+
+
 def reference_remap(frames, scene, palette_map, new_gain):
-    """Per-colour reference: a three-channel equality mask for each colour."""
+    """Per-colour reference: a three-channel equality mask for each colour,
+    over its own table of every element, zones included, taken in name
+    order, with robot pixels skipped."""
     new_scene = synthgen.apply_palette_map(scene, palette_map, new_gain)
-    old_colors = sim.scene_color_table(scene)
-    new_colors = sim.scene_color_table(new_scene)
+    old_colors = element_colors(scene)
+    new_colors = element_colors(new_scene)
     robot = tuple(int(v) for v in sim.PALETTE[sim.ROBOT_COLOR_INDEX])
     value_map = {}
     for key in sorted(old_colors):
@@ -225,6 +239,22 @@ def test_remap_frames_matches_per_colour_reference(data, table, bg, gain,
     assert out.dtype == np.uint8 and out.shape == frames.shape
     assert np.array_equal(out, ref)
     assert new_scene == ref_scene
+
+
+def test_remap_frames_gives_a_shared_colour_the_lit_background_target():
+    """Off-white lit at 0.52 renders as the gray of the table and the object:
+    the background comes first, so its target wins, as in the reference."""
+    scene = SceneSpec(table_color=8, background_color=9, lighting_gain=0.52,
+                      objects=(SceneObject("circle", 8, 0.1, (0.5, 0.4)),))
+    gray = sim.PALETTE[8]
+    assert np.array_equal(sim.background_value(9, 0.52), gray)
+    frames = sim.render(scene, sim.initial_state(scene), 32)[None]
+    palette_map = {9: 1, 8: 2}
+    out, _ = synthgen.remap_frames(frames, scene, palette_map, 0.52)
+    assert np.array_equal(out, reference_remap(frames, scene, palette_map, 0.52)[0])
+    shared = np.all(frames == gray, axis=-1)
+    assert shared.sum() > 32 * 32 // 2
+    assert np.all(out[shared] == sim.background_value(1, 0.52))
 
 
 def test_remap_frames_on_a_read_only_clip_window():
