@@ -125,9 +125,13 @@ class EncoderModel:
 
 @dataclass(frozen=True)
 class EncoderTrainConfig:
-    steps: int = 120
+    steps: int = 120     # 0 gives the frozen random-init encoder
     batch_clips: int = 64
     seed: int = 0
+
+    def __post_init__(self):
+        if self.steps < 0 or self.batch_clips < 1:
+            raise ValueError(f"need steps >= 0 and batch_clips >= 1, got {self}")
 
 
 def _l2_normalize(x: Tensor) -> Tensor:
@@ -175,6 +179,6 @@ def pretrain_encoder(episodes: list[Episode],
         batch = np.stack(views)                       # (2B, CLIP_LEN, H, W, 3)
         return nt_xent_loss(model.encode(batch).mean(axis=1), TEMPERATURE)
 
-    train(model.params, loss_fn, config.steps, schedule, config.seed, "enc-step")
+    train(model.params, loss_fn, schedule, config.seed, "enc-step")
     model.frozen = True
     return model

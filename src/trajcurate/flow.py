@@ -60,10 +60,14 @@ def euler_sample(velocity_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
 @dataclass(frozen=True)
 class TrainConfig:
-    steps: int
+    steps: int          # must equal schedule.total_steps, the run's length
     batch_size: int
     schedule: LrSchedule
     seed: int = 0
+
+    def __post_init__(self):
+        if self.steps != self.schedule.total_steps or self.batch_size < 1:
+            raise ValueError(f"need steps == schedule.total_steps and batch_size >= 1, got {self}")
 
 
 def train_fm(model: VelocityModel,
@@ -80,4 +84,4 @@ def train_fm(model: VelocityModel,
         return fm_loss(model.velocity(interpolate(clean, noise, t), t, conditioning),
                        clean, noise)
 
-    return train(model.params, loss_fn, config.steps, config.schedule, config.seed, "fm-step")
+    return train(model.params, loss_fn, config.schedule, config.seed, "fm-step")

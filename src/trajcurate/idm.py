@@ -213,12 +213,7 @@ def label_video(video: np.ndarray, model: IdmModel) -> np.ndarray:
     if t_total < 2:
         raise ValueError("need at least two frames")
     h = model.hyper.horizon
-    starts = range(0, t_total - 1, h)
-    ends = [min(s + h, t_total - 1) for s in starts]
-    frames_a = np.stack([video[s] for s in starts])
-    frames_b = np.stack([video[e] for e in ends])
-    chunks = _predict_batch(model, frames_a, frames_b, derive_seed(LABEL_SEED, "label-windows"))
-    rows = [chunks[i, :ends[i] - starts[i]] for i in range(len(starts))]
-    out = np.concatenate(rows, axis=0)
-    assert len(out) == t_total - 1
-    return out
+    starts = np.arange(0, t_total - 1, h)
+    chunks = _predict_batch(model, video[starts], video[np.minimum(starts + h, t_total - 1)],
+                            derive_seed(LABEL_SEED, "label-windows"))
+    return chunks.reshape(-1, ACTION_DIM)[:t_total - 1]

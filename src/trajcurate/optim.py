@@ -1,7 +1,8 @@
 """AdamW with decoupled weight decay, one training step, the seeded training
-loop and the stable-then-decay LR schedule. Every trainer steps through
-`train_step`, so training raises RuntimeError naming the step on a non-finite
-value, where inference raises the FloatingPointError of `tensor`."""
+loop and the stable-then-decay LR schedule. A run's length is its schedule's
+`total_steps`, stated nowhere else. Every trainer steps through `train_step`,
+so training raises RuntimeError naming the step on a non-finite value, where
+inference raises the FloatingPointError of `tensor`."""
 
 from __future__ import annotations
 
@@ -79,13 +80,13 @@ def train_step(params: dict[str, Tensor], loss_fn: Callable[[], Tensor],
 
 
 def train(params: dict[str, Tensor], loss_fn: Callable[[np.random.Generator], Tensor],
-          steps: int, schedule: LrSchedule, seed: int, tag: str) -> list[float]:
-    """`steps` steps of one AdamW: step k is `train_step` on
+          schedule: LrSchedule, seed: int, tag: str) -> list[float]:
+    """`schedule.total_steps` steps of one AdamW: step k is `train_step` on
     loss_fn(rng_for(seed, tag, k)) at `wsd_lr(k, schedule)`. Returns the loss
     log; zero steps leave the parameters untouched."""
     opt = AdamW()
     return [train_step(params, lambda: loss_fn(rng_for(seed, tag, k)), opt, wsd_lr(k, schedule))
-            for k in range(steps)]
+            for k in range(schedule.total_steps)]
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ time-aligned (positive), time-shifted within the episode, or crossed with a
 different episode's replay (negatives). A learnable query token attends once
 over the concatenated token sets of both clips (with a learned segment
 embedding marking the side) and a linear head emits the alignment logit.
+Training runs every epoch of its config and keeps the weights of the epoch
+with the lowest validation BCE.
 
 Scoring a generated sample replays its pseudo-actions from the recorded
 initial state, cuts both videos into the same aligned clip windows, and
@@ -15,6 +17,7 @@ averages the per-window alignment probabilities.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +34,6 @@ from .tensor import Tensor, concat, no_grad
 
 LABELS = ("positive", "neg_shift", "neg_cross")
 ENCODE_BATCH = 64       # clips per encoder pass over the pair set, at most
-PATIENCE = 6            # epochs without a better validation BCE before stopping
 VAL_FRACTION = 0.2      # of the episodes, held out for validation
 
 
@@ -172,6 +174,10 @@ class ProbeTrainConfig:
     max_epochs: int = 50
     seed: int = 0
 
+    def __post_init__(self):
+        if self.max_epochs < 1 or self.batch_pairs < 1:
+            raise ValueError(f"need max_epochs >= 1 and batch_pairs >= 1, got {self}")
+
 
 @dataclass
 class ProbeTrainReport:
@@ -225,11 +231,11 @@ def _split_by_episode(pair_set: PairSet, val_fraction: float,
 
 def train_probe(pair_set: PairSet, encoder: EncoderModel,
                 config: ProbeTrainConfig = ProbeTrainConfig()) -> tuple[ProbeModel, ProbeTrainReport]:
-    """AdamW on BCE over cached encodings; early stop on validation BCE."""
+    """`max_epochs` epochs of AdamW on BCE over cached encodings; returns the
+    weights of `report.best_epoch`. The heads are gcd(dim, ProbeHyper.heads)."""
     if not encoder.frozen:
         raise ValueError("encoder must be frozen before probe training")
-    labels = {p.label != "positive" for p in pair_set.pairs}
-    if len(labels) < 2:
+    if len({p.y for p in pair_set.pairs}) < 2:
         raise ValueError("pair set must contain both classes")
 
     rng = rng_for(config.seed, "probe-train")
@@ -238,13 +244,10 @@ def train_probe(pair_set: PairSet, encoder: EncoderModel,
     if not train_pairs or not val_pairs:
         raise ValueError("episode split left an empty train or validation set")
 
-    probe = ProbeModel(ProbeHyper(dim=encoder.hyper.dim), seed=config.seed)
+    d = encoder.hyper.dim
+    probe = ProbeModel(ProbeHyper(dim=d, heads=math.gcd(d, ProbeHyper.heads)), seed=config.seed)
     opt = AdamW()
-    arrays = probe.store.arrays()
     report = ProbeTrainReport()
-    best_val = np.inf
-    best_arrays = {k: v.copy() for k, v in arrays.items()}
-    since_best = 0
 
     z1v, z2v, yv = _batch(tokens, val_pairs)
     for epoch in range(config.max_epochs):
@@ -259,22 +262,13 @@ def train_probe(pair_set: PairSet, encoder: EncoderModel,
         report.train_bce.append(float(np.mean(epoch_losses)))
         with no_grad():
             val_logits = probe.forward(z1v, z2v).readout()
-        val_loss = _bce_tensor(Tensor(val_logits), yv).item()
-        report.val_bce.append(val_loss)
-        if val_loss < best_val - 1e-6:
-            best_val = val_loss
-            best_arrays = {k: v.copy() for k, v in arrays.items()}
+        report.val_bce.append(_bce_tensor(Tensor(val_logits), yv).item())
+        if epoch == 0 or report.val_bce[-1] < report.val_bce[report.best_epoch] - 1e-6:
             report.best_epoch = epoch
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= PATIENCE:
-                break
+            best_arrays = {k: v.copy() for k, v in probe.store.arrays().items()}
+            best_logits = val_logits
     probe.store.load(best_arrays)
-    with no_grad():
-        val_logits = probe.forward(z1v, z2v).readout()
-    preds = alignment_prob(val_logits) > 0.5
-    report.val_accuracy = float(np.mean(preds == (yv > 0.5)))
+    report.val_accuracy = float(np.mean((alignment_prob(best_logits) > 0.5) == (yv > 0.5)))
     return probe, report
 
 

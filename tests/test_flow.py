@@ -133,11 +133,19 @@ def test_train_fm_zero_steps_is_noop():
     model = ScalarModel()
     before = model.params["w"].data.copy()
     cfg = TrainConfig(steps=0, batch_size=4,
-                      schedule=LrSchedule(base_lr=0.05, total_steps=1,
-                                          stable_steps=1), seed=0)
+                      schedule=LrSchedule(base_lr=0.05, total_steps=0,
+                                          stable_steps=0), seed=0)
     losses = train_fm(model, lambda r: (np.zeros((4, 1)), {}), cfg)
     assert losses == []
     assert np.array_equal(model.params["w"].data, before)
+
+
+@pytest.mark.parametrize("steps, batch_size", [(7, 4), (3, 4), (5, 0)])
+def test_train_config_rejects_a_second_length_and_an_empty_batch(steps, batch_size):
+    """The schedule states the run's length; `steps` may only repeat it."""
+    with pytest.raises(ValueError, match="total_steps"):
+        TrainConfig(steps=steps, batch_size=batch_size,
+                    schedule=LrSchedule(base_lr=0.05, total_steps=5, stable_steps=4))
 
 
 def test_train_fm_deterministic():

@@ -1,3 +1,5 @@
+import dataclasses
+import logging
 import math
 import os
 import threading
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from trajcurate import flow, idm, optim, parallel, sim
+from trajcurate import dataset, flow, idm, optim, parallel, sim
 from trajcurate.encoder import EncoderHyper
 from trajcurate.nn import time_features
 from trajcurate.probe import ProbeHyper
@@ -95,6 +97,30 @@ def test_label_video_same_bytes_on_any_core_count(monkeypatch):
         monkeypatch.setattr(parallel, "cores", lambda n=n: n)
         labels.append([idm.label_video(video, model).tobytes() for video in videos])
     assert all(by_core_count == labels[0] for by_core_count in labels)
+
+
+def test_label_video_rejects_a_one_frame_video():
+    with pytest.raises(ValueError, match="two frames"):
+        idm.label_video(random_video(1), tiny_model())
+
+
+def test_train_idm_skips_episodes_shorter_than_a_chunk(caplog):
+    """An episode of `horizon` frames holds no chunk: it is skipped with a
+    warning, and training fails when no episode holds one."""
+    hyper = dataclasses.replace(TINY, resolution=64)
+    demo = dataset.collect_demos(1, seed=0)[0]
+    short, full = (dataclasses.replace(demo, frames=demo.frames[:n], states=demo.states[:n],
+                                       actions=demo.actions[:n - 1])
+                   for n in (hyper.horizon, hyper.horizon + 1))
+    config = flow.TrainConfig(steps=1, batch_size=2,
+                              schedule=optim.LrSchedule(base_lr=1e-3, total_steps=1,
+                                                        stable_steps=1))
+    with caplog.at_level(logging.WARNING, logger=idm.__name__):
+        _, losses = idm.train_idm([short, full, short], config, hyper)
+    assert len(losses) == 1
+    assert "skipped 2 episodes shorter than 5 frames" in caplog.text
+    with pytest.raises(ValueError, match="no episode long enough"):
+        idm.train_idm([short, short], config, hyper)
 
 
 def test_hyper_rejects_non_positive_fields():

@@ -26,20 +26,24 @@ from trajcurate.nn import ParamStore
 from trajcurate.optim import LrSchedule
 from trajcurate.probe import (
     LABELS,
+    VAL_FRACTION,
     ClipPair,
     PairSet,
     ProbeHyper,
     ProbeModel,
     ProbeTrainConfig,
+    _batch,
     _bce_tensor,
     _encode_windows,
     _replay_windows,
     _split_by_episode,
+    alignment_prob,
     score_sample,
     train_probe,
 )
+from trajcurate.seeding import rng_for
 from trajcurate.synthgen import CorruptionSpec, NeuralSample
-from trajcurate.tensor import autodiff_grad, finite_diff_grad
+from trajcurate.tensor import Tensor, autodiff_grad, finite_diff_grad, no_grad
 
 TINY_ENCODER = EncoderHyper(dim=8, heads=2, blocks=1, resolution=32)
 TINY_PROBE = ProbeHyper(dim=8, heads=2)
@@ -137,6 +141,15 @@ def test_pretrain_encoder_with_no_steps_is_the_initial_encoder():
     assert model.params.keys() == init.params.keys()
     for name, p in init.params.items():
         assert np.array_equal(model.params[name].data, p.data), name
+
+
+@pytest.mark.parametrize("cls, field, bad", [
+    (EncoderTrainConfig, "steps", -1), (EncoderTrainConfig, "batch_clips", 0),
+    (ProbeTrainConfig, "max_epochs", 0), (ProbeTrainConfig, "max_epochs", -1),
+    (ProbeTrainConfig, "batch_pairs", 0)])
+def test_train_configs_reject_an_empty_run_on_construction(cls, field, bad):
+    with pytest.raises(ValueError, match=f"{field} >="):
+        cls(**{field: bad})
 
 
 def test_tubelets_match_patches_scaled_first():
@@ -248,6 +261,12 @@ def test_score_sample_ignores_hidden_fields():
     assert score_sample(relabeled, encoder, probe) != score
 
 
+def test_score_sample_rejects_an_unlabelled_sample():
+    sample = dataclasses.replace(random_sample(40, seed=3), idm_actions=None)
+    with pytest.raises(ValueError, match="no pseudo-actions"):
+        score_sample(sample, EncoderModel(TINY_ENCODER, seed=3), ProbeModel(TINY_PROBE, seed=3))
+
+
 def random_pair_set(n_ep, n_win, seed):
     """Random 32px clips on both sides; every window has a positive, a
     time-shifted and a cross-episode pair."""
@@ -271,6 +290,56 @@ def test_score_sample_and_train_probe_leave_no_thread():
     encoder.frozen = True
     train_probe(random_pair_set(5, 2, seed=5), encoder, ProbeTrainConfig(max_epochs=2))
     assert threading.active_count() == before
+
+
+def frozen_encoder(hyper=TINY_ENCODER, seed=5):
+    encoder = EncoderModel(hyper, seed=seed)
+    encoder.frozen = True
+    return encoder
+
+
+def test_train_probe_rejects_an_unfrozen_encoder():
+    with pytest.raises(ValueError, match="frozen"):
+        train_probe(random_pair_set(5, 2, seed=5), EncoderModel(TINY_ENCODER, seed=5))
+
+
+@pytest.mark.parametrize("kept", [{"positive"}, {"neg_shift", "neg_cross"}])
+def test_train_probe_rejects_a_one_class_pair_set(kept):
+    pair_set = random_pair_set(5, 2, seed=5)
+    one_class = PairSet([p for p in pair_set.pairs if p.label in kept], pair_set.real,
+                        pair_set.sim)
+    with pytest.raises(ValueError, match="both classes"):
+        train_probe(one_class, frozen_encoder())
+
+
+@pytest.mark.parametrize("hyper, heads", [
+    (TINY_ENCODER, 8), (EncoderHyper(dim=12, heads=3, blocks=1, resolution=32), 4)])
+def test_train_probe_takes_the_heads_that_divide_the_encoder_dim(hyper, heads):
+    """gcd(dim, 8) heads: 8 for the dims in use (64, 16, 8), so their bits
+    stay, and 4 for a 12-dim encoder, which no 8-head probe fits."""
+    probe, _ = train_probe(random_pair_set(5, 2, seed=5), frozen_encoder(hyper),
+                           ProbeTrainConfig(max_epochs=1))
+    assert probe.hyper == ProbeHyper(dim=hyper.dim, heads=heads)
+
+
+def test_train_probe_runs_every_epoch_and_returns_the_best():
+    """No early stop: one validation BCE per epoch. The returned weights are
+    those of `report.best_epoch`, here an epoch inside the run, and the
+    accuracy is read from that epoch's validation logits."""
+    pair_set = random_pair_set(6, 3, seed=5)
+    encoder = frozen_encoder()
+    config = ProbeTrainConfig(lr=3e-2, batch_pairs=4, max_epochs=8)
+    probe, report = train_probe(pair_set, encoder, config)
+    assert len(report.train_bce) == len(report.val_bce) == 8
+    assert 0 < report.best_epoch < 7
+    assert report.val_bce[report.best_epoch] == min(report.val_bce)
+
+    _, val = _split_by_episode(pair_set, VAL_FRACTION, rng_for(config.seed, "probe-train"))
+    z1, z2, y = _batch(_encode_windows(pair_set, encoder), val)
+    with no_grad():
+        logits = probe.forward(z1, z2).readout()
+    assert _bce_tensor(Tensor(logits), y).item() == report.val_bce[report.best_epoch]
+    assert report.val_accuracy == np.mean((alignment_prob(logits) > 0.5) == (y > 0.5))
 
 
 def test_encode_windows_equals_one_pass_per_side():

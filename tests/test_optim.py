@@ -119,13 +119,13 @@ def quadratic_loss(p, draws):
 
 
 def test_train_seeds_step_k_with_its_own_generator():
-    """Step k draws from rng_for(seed, tag, k) and steps at wsd_lr(k): the
-    same bytes as the loop written out with `train_step`. Zero steps draw
-    nothing and leave the parameters as they were."""
+    """The schedule's total_steps steps; step k draws from rng_for(seed, tag, k)
+    and steps at wsd_lr(k): the same bytes as the loop written out with
+    `train_step`. Zero steps draw nothing and leave the parameters as they were."""
     sched = LrSchedule(base_lr=0.1, total_steps=4, stable_steps=2)
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     draws = []
-    losses = train({"p": p}, quadratic_loss(p, draws), 4, sched, seed=7, tag="t-step")
+    losses = train({"p": p}, quadratic_loss(p, draws), sched, seed=7, tag="t-step")
     assert draws == [rng_for(7, "t-step", k).random() for k in range(4)]
     assert len(losses) == 4 and all(type(loss) is float for loss in losses)
 
@@ -139,7 +139,8 @@ def test_train_seeds_step_k_with_its_own_generator():
     assert p.data.tobytes() == q.data.tobytes()
 
     before = p.data.copy()
-    assert train({"p": p}, quadratic_loss(p, draws), 0, sched, seed=7, tag="t-step") == []
+    no_steps = LrSchedule(base_lr=0.1, total_steps=0, stable_steps=0)
+    assert train({"p": p}, quadratic_loss(p, draws), no_steps, seed=7, tag="t-step") == []
     assert len(draws) == 4 and np.array_equal(p.data, before)
 
 
