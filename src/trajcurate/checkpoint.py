@@ -5,7 +5,8 @@ the record layout of `records`, without kind bytes. Records are written in
 sorted name order so identical parameter sets produce byte-identical files.
 Scalar metadata (a model's hyper fields, flags such as the encoder's frozen
 marker) is stored as one-element tensors under the "meta/" prefix. Loading
-rejects any NaN or infinity, in a parameter or in the meta. A model writes
+rejects any NaN or infinity, in a parameter or in the meta, and a meta record
+that holds other than one value. A model writes
 `save_checkpoint(path, *model_state(model))` and reads back through `load_model`.
 Values that a model's module fixes, such as the encoder's clip geometry, are
 written to meta as well, and `load_model` rejects a file that disagrees.
@@ -42,8 +43,8 @@ def save_checkpoint(path, params: dict[str, np.ndarray],
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, float]]:
-    """Read one TCKP file; truncated or corrupt content, and any value that
-    is not finite, raise CheckpointError."""
+    """Read one TCKP file; truncated or corrupt content, any value that is
+    not finite and a meta record of other than one value raise CheckpointError."""
     raw = Path(path).read_bytes()
     params: dict[str, np.ndarray] = {}
     meta: dict[str, float] = {}
@@ -53,7 +54,9 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, float]]:
             if not np.isfinite(arr).all():
                 raise ValueError(f"record {name!r} holds a value that is not finite")
             if name.startswith("meta/"):
-                meta[name[len("meta/"):]] = float(arr.reshape(-1)[0])
+                if arr.size != 1:
+                    raise ValueError(f"meta record {name!r} holds {arr.size} values, not one")
+                meta[name[len("meta/"):]] = arr.item()
             else:
                 params[name] = arr
     except CORRUPT_ERRORS as exc:

@@ -22,12 +22,7 @@ import numpy as np
 
 from . import records, sim
 from .seeding import derive_seed, rng_for
-from .sim import (
-    A_MAX,
-    D_MIN_PUSH,
-    Instruction,
-    SceneSpec,
-)
+from .sim import A_MAX, ACTION_DIM, D_MIN_PUSH, Instruction, SceneSpec
 
 MAGIC = b"NTRJ"
 VERSION = 1
@@ -72,7 +67,7 @@ class Episode:
         self.actions = np.ascontiguousarray(self.actions, dtype=np.float64)
         t = len(self.frames)
         if (self.frames.ndim != 4 or self.frames.shape[-1] != 3
-                or self.states.shape != (t, 6) or self.actions.shape != (t - 1, 6)):
+                or self.states.shape != (t, 6) or self.actions.shape != (t - 1, ACTION_DIM)):
             raise ValueError(f"need frames (T, H, W, 3), states (T, 6) and actions "
                              f"(T-1, 6), got {self.frames.shape}, {self.states.shape} "
                              f"and {self.actions.shape}")
@@ -146,12 +141,12 @@ class _Controller:
         self.actions: list[np.ndarray] = []
 
     def _emit(self, deltas: np.ndarray, grip: float) -> None:
-        act = np.zeros(6)
-        base = 0 if self.arm == 0 else 3
-        act[base:base + 2] = deltas
-        act[base + 2] = grip
-        other = 3 - base
-        act[other + 2] = self.state.gripper[1 - self.arm]   # idle arm holds
+        act = np.zeros(ACTION_DIM)
+        k, idle = self.arm, 1 - self.arm
+        act[3 * k:3 * k + 2] = deltas
+        act[3 * k + 2] = grip
+        act[3 * idle + 2] = self.state.gripper[idle]     # idle arm holds
+        act = sim.clip_actions(act)
         self.state = sim.step(self.state, act)
         self.actions.append(act)
 
@@ -167,8 +162,8 @@ class _Controller:
             tgt = np.array(sim.inverse_kinematics(point, self.arm))
             diff = _wrap(tgt - self.state.joints[self.arm])
             lim = A_MAX * self.speed
-            deltas = np.clip(diff, -lim, lim) + self.rng.normal(0.0, 0.002, size=2)
-            self._emit(np.clip(deltas, -A_MAX, A_MAX), self.hold_grip())
+            self._emit(np.clip(diff, -lim, lim) + self.rng.normal(0.0, 0.002, size=2),
+                       self.hold_grip())
         raise ExpertFailure(f"waypoint {point} not reached")
 
     def hold(self, grip: float, steps: int) -> None:
@@ -188,7 +183,7 @@ def scripted_expert(scene: SceneSpec, instruction: Instruction, seed: int,
         raise InfeasibleInstruction(instruction.text())
     rng = np.random.default_rng(seed)
     target = sim.find_target(scene, instruction)
-    arm = 0 if instruction.hand == "left" else 1
+    arm = sim.HANDS.index(instruction.hand)
     ctl = _Controller(scene, arm, rng, speed=float(rng.uniform(*speed_range)))
     start = ctl.state
 
@@ -272,6 +267,10 @@ def collect_demos(n: int, seed: int = 0) -> list[Episode]:
 # -- binary serialization -------------------------------------------------------------
 
 _NP_DTYPE = {records.U8: np.uint8, records.F64: "<f8"}
+# the kind `write_episode` gives each record; `read_episode` rejects another
+_KIND = {"header": records.JSON, "scene": records.JSON, "instruction": records.JSON,
+         "states": records.F64, "actions": records.F64, "frames": records.U8,
+         "provenance": records.JSON}
 
 
 def _canon_json(obj) -> bytes:
@@ -280,21 +279,32 @@ def _canon_json(obj) -> bytes:
 
 def _json_record(name: str, obj) -> tuple:
     payload = _canon_json(obj)
-    return name, records.JSON, (len(payload),), payload
+    return name, _KIND[name], (len(payload),), payload
+
+
+def _array_record(name: str, array: np.ndarray) -> tuple:
+    array = np.ascontiguousarray(array, dtype=_NP_DTYPE[_KIND[name]])
+    return name, _KIND[name], array.shape, array
+
+
+def _decode(name: str, kind: int, dims: tuple, payload):
+    if kind != _KIND.get(name, kind):
+        raise ValueError(f"record {name!r} has kind {kind}, not {_KIND[name]}")
+    # JSON records are UTF-8; json.loads on bytes would also take UTF-16/32
+    if kind == records.JSON:
+        return json.loads(str(payload, "utf-8"))
+    return np.frombuffer(payload, dtype=_NP_DTYPE[kind]).reshape(dims)
 
 
 def write_episode(episode: Episode, path) -> None:
     header = {"episode_id": int(episode.episode_id), "embodiment": episode.embodiment}
-    states = np.ascontiguousarray(episode.states, dtype="<f8")
-    actions = np.ascontiguousarray(episode.actions, dtype="<f8")
-    frames = np.ascontiguousarray(episode.frames, dtype=np.uint8)
     records.write_records(path, MAGIC, VERSION, [
         _json_record("header", header),
         _json_record("scene", episode.scene.to_dict()),
         _json_record("instruction", episode.instruction.to_dict()),
-        ("states", records.F64, states.shape, states),
-        ("actions", records.F64, actions.shape, actions),
-        ("frames", records.U8, frames.shape, frames),
+        _array_record("states", episode.states),
+        _array_record("actions", episode.actions),
+        _array_record("frames", episode.frames),
         _json_record("provenance", episode.provenance),
     ])
 
@@ -303,11 +313,7 @@ def read_episode(path) -> Episode:
     """Read one NTRJ file; truncated or corrupt content raises DatasetError."""
     raw = Path(path).read_bytes()
     try:
-        # JSON records are UTF-8; json.loads on bytes would also take UTF-16/32
-        sections = {
-            name: (json.loads(str(payload, "utf-8")) if kind == records.JSON
-                   else np.frombuffer(payload, dtype=_NP_DTYPE[kind]).reshape(dims))
-            for name, kind, dims, payload in records.read_records(raw, MAGIC, VERSION, True)}
+        sections = {rec[0]: _decode(*rec) for rec in records.read_records(raw, MAGIC, VERSION, True)}
         header = sections["header"]
         return Episode(
             episode_id=int(header["episode_id"]),

@@ -25,6 +25,7 @@ from .dataset import Episode
 from .nn import Hyper, Linear, ParamStore, Trunk, patch_grid, unit_range
 from .optim import LrSchedule, train
 from .seeding import rng_for
+from .sim import DEFAULT_RESOLUTION, GAIN_RANGE
 from .synthgen import random_palette_map, remap_frames
 from .tensor import Tensor, no_grad
 
@@ -67,7 +68,7 @@ class EncoderHyper(Hyper):
     dim: int = 64
     heads: int = 4
     blocks: int = 2
-    resolution: int = 64
+    resolution: int = DEFAULT_RESOLUTION
 
     @property
     def tokens_per_clip(self) -> int:
@@ -173,7 +174,7 @@ def pretrain_encoder(episodes: list[Episode],
             scene = episodes[ei].scene
             for _ in range(2):
                 pal = random_palette_map(scene, rng)
-                gain = float(rng.uniform(0.5, 1.5))
+                gain = float(rng.uniform(*GAIN_RANGE))
                 recolored, _ = remap_frames(windows[ei][w], scene, pal, gain)
                 views.append(recolored)
         batch = np.stack(views)                       # (2B, CLIP_LEN, H, W, 3)

@@ -71,13 +71,14 @@ class TrainConfig:
 
 
 def train_fm(model: VelocityModel,
-             batch_fn: Callable[[np.random.Generator], tuple[np.ndarray, Any]],
+             batch_fn: Callable[[np.random.Generator, int], tuple[np.ndarray, Any]],
              config: TrainConfig) -> list[float]:
-    """`optim.train` of the flow-matching loss, step tag "fm-step". batch_fn(rng)
-    returns (clean, conditioning), whatever `velocity` takes, built in the graph
+    """`optim.train` of the flow-matching loss, step tag "fm-step".
+    batch_fn(rng, config.batch_size) returns (clean, conditioning) of that many
+    items, the conditioning being whatever `velocity` takes, built in the graph
     so parameters it reads train too; noise and time are drawn after it."""
     def loss_fn(rng: np.random.Generator) -> Tensor:
-        clean, conditioning = batch_fn(rng)
+        clean, conditioning = batch_fn(rng, config.batch_size)
         clean = np.asarray(clean, dtype=np.float64)
         noise = rng.standard_normal(clean.shape)
         t = rng.uniform(0.0, 1.0, size=len(clean))

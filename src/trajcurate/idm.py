@@ -9,7 +9,8 @@ several seeded denoising runs, integrated as one batch per group of runs, a
 group per core. Sliding it over a video in non-overlapping windows
 pseudo-labels generated videos with actions; the final partial window
 conditions on (frame_t, last frame) and keeps only the rows that exist, so a
-T-frame video always receives exactly T-1 action rows.
+T-frame video always receives exactly T-1 action rows. Labels come out of
+`sim.clip_actions`: each is the very command that replaying it executes.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from .checkpoint import CheckpointError, load_checkpoint, load_model, model_stat
 from .dataset import Episode
 from .nn import Hyper, Linear, ParamStore, Trunk, patchify, time_features
 from .seeding import derive_seed, rng_for
+from .sim import ACTION_DIM
 from .tensor import Tensor, concat, no_grad
 
 log = logging.getLogger(__name__)
 
-ACTION_DIM = 6
 DEFAULT_HORIZON = 8
 LABEL_SEED = 0          # labels are reproducible artifacts
 PATCH = 16              # token patch side, in pixels
@@ -42,7 +43,7 @@ class IdmHyper(Hyper):
     heads: int = 4
     blocks: int = 3
     horizon: int = DEFAULT_HORIZON
-    resolution: int = 64
+    resolution: int = sim.DEFAULT_RESOLUTION
     euler_steps: int = 8
     sample_avg: int = 4      # denoising runs averaged per prediction
 
@@ -148,8 +149,8 @@ def train_idm(episodes: list[Episode], config: flow.TrainConfig,
     model.norm_mean = rows.mean(axis=0)
     model.norm_std = np.maximum(rows.std(axis=0), 1e-3)
 
-    def batch_fn(rng: np.random.Generator):
-        picks = rng.integers(0, len(index), size=config.batch_size)
+    def batch_fn(rng: np.random.Generator, size: int):
+        picks = rng.integers(0, len(index), size=size)
         frames_a, frames_b, chunks = [], [], []
         for p in picks:
             ei, s = index[int(p)]
@@ -162,13 +163,6 @@ def train_idm(episodes: list[Episode], config: flow.TrainConfig,
 
     losses = flow.train_fm(model, batch_fn, config)
     return model, losses
-
-
-def _clip_chunk(chunk: np.ndarray) -> np.ndarray:
-    out = chunk.copy()
-    out[..., [0, 1, 3, 4]] = np.clip(out[..., [0, 1, 3, 4]], -sim.A_MAX, sim.A_MAX)
-    out[..., [2, 5]] = np.clip(out[..., [2, 5]], 0.0, 1.0)
-    return out
 
 
 def _predict_batch(model: IdmModel, frames_a: np.ndarray, frames_b: np.ndarray,
@@ -203,7 +197,7 @@ def _predict_batch(model: IdmModel, frames_a: np.ndarray, frames_b: np.ndarray,
     bounds = [hyper.sample_avg * g // n_groups for g in range(n_groups + 1)]
     runs = np.concatenate(parallel.run([functools.partial(sample_group, range(lo, hi))
                                         for lo, hi in zip(bounds, bounds[1:])]))
-    return _clip_chunk(model.denormalize(np.mean(runs, axis=0)))
+    return sim.clip_actions(model.denormalize(np.mean(runs, axis=0)))
 
 
 def label_video(video: np.ndarray, model: IdmModel) -> np.ndarray:

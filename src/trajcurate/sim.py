@@ -23,9 +23,11 @@ into Python floats, whose arithmetic is the same IEEE float64 arithmetic as
 numpy scalars' at a fraction of the interpreter cost.
 
 Conventions: world x grows right, world y grows up; frames are row-major RGB
-with the origin at the top-left. Actions are 6-vectors
-[dL1, dL2, gripL, dR1, dR2, gripR]: joint deltas are clipped to +-A_MAX,
-gripper commands are absolute in [0, 1] with >= 0.5 meaning closed.
+with the origin at the top-left. Actions are ACTION_DIM-vectors
+[dL1, dL2, gripL, dR1, dR2, gripR], a block of three per arm in HANDS order:
+joint deltas are clipped to +-A_MAX, gripper commands are absolute in [0, 1]
+with >= 0.5 meaning closed. `step` executes `clip_actions` of its action, and
+the IDM's labels come out of it too. Lighting gains lie in GAIN_RANGE.
 """
 
 from __future__ import annotations
@@ -45,6 +47,10 @@ ARM_BASES = ((0.35, 0.0), (0.65, 0.0))
 LINK_LENGTHS = (0.55, 0.55)
 WORLD_LO, WORLD_HI = -0.25, 1.25          # rendered world window
 DEFAULT_RESOLUTION = 64
+GAIN_RANGE = (0.5, 1.5)       # any scene's lighting gain, inclusive
+
+ACTION_DIM = 6
+_ACTION_BOUNDS = np.array([[-A_MAX, -A_MAX, 0.0] * 2, [A_MAX, A_MAX, 1.0] * 2])   # low, high
 
 # 16-color palette; index 0 is the robot color and is reserved: scene elements
 # never use it, which is what makes "recolor everything except the robot"
@@ -158,8 +164,8 @@ class SceneSpec:
     objects: tuple[SceneObject, ...]
 
     def __post_init__(self):
-        if not (0.5 <= self.lighting_gain <= 1.5):
-            raise ValueError("lighting_gain outside [0.5, 1.5]")
+        if not (GAIN_RANGE[0] <= self.lighting_gain <= GAIN_RANGE[1]):
+            raise ValueError(f"lighting_gain outside {list(GAIN_RANGE)}")
         # the robot and zone colors are reserved: no scene element takes them
         for color in self.colors:
             if color not in SCENE_COLOR_INDICES:
@@ -205,8 +211,12 @@ class WorldState:
 def arm_points(state: WorldState, arm: int):
     """(base, elbow, effector) for one arm, each an (x, y) tuple of Python
     floats: the same IEEE arithmetic as float64 arrays, at scalar cost."""
+    return _arm_points(state.joints, arm)
+
+
+def _arm_points(joints: np.ndarray, arm: int):
     bx, by = ARM_BASES[arm]
-    t1, t2 = state.joints[arm].tolist()
+    t1, t2 = joints[arm].tolist()
     l1, l2 = LINK_LENGTHS
     ex, ey = bx + l1 * math.cos(t1), by + l1 * math.sin(t1)
     return ((bx, by), (ex, ey),
@@ -239,47 +249,45 @@ def initial_state(scene: SceneSpec) -> WorldState:
     return WorldState(joints, np.zeros(2), poses, (None, None))
 
 
+def clip_actions(actions) -> np.ndarray:
+    """Any (..., ACTION_DIM) array clipped column by column to the command
+    `step` executes: joint deltas to +-A_MAX, grippers to [0, 1]."""
+    return np.clip(actions, *_ACTION_BOUNDS)
+
+
 def step(state: WorldState, action) -> WorldState:
-    """Advance one tick. Inputs are clipped, never rejected."""
-    act = np.asarray(action, dtype=float).reshape(6)
+    """Advance one tick by `clip_actions(action)`; a non-finite action raises
+    ValueError. Each arm releases its object on an opening grip or carries it;
+    then, lower arm first, a closing grip takes the nearest free object."""
+    act = np.asarray(action, dtype=float).reshape(ACTION_DIM)
     if not np.all(np.isfinite(act)):
         raise ValueError("action must be finite")
-    deltas = np.clip(act[[0, 1, 3, 4]], -A_MAX, A_MAX).reshape(2, 2)
-    grip_cmd = np.clip(act[[2, 5]], 0.0, 1.0)
-
-    joints = state.joints + deltas
-    prev_grip = state.gripper
+    act = clip_actions(act).reshape(2, 3)     # per arm: two joint deltas, its grip
+    joints = state.joints + act[:, :2]
+    grip = act[:, 2].copy()
+    was, now = state.gripper.tolist(), grip.tolist()
     poses = state.object_poses.copy()
     attachment = list(state.attachment)
 
-    tmp = WorldState(joints, grip_cmd, poses, state.attachment)
-
-    # release first: an opening gripper leaves its object in place
     for arm in range(2):
-        if prev_grip[arm] >= 0.5 and grip_cmd[arm] < 0.5 and attachment[arm] is not None:
+        if was[arm] >= 0.5 > now[arm]:
             attachment[arm] = None
+        elif attachment[arm] is not None:
+            poses[attachment[arm]] = _arm_points(joints, arm)[2]
 
-    # attached objects track the effector exactly
     for arm in range(2):
-        if attachment[arm] is not None:
-            poses[attachment[arm]] = effector_position(tmp, arm)
-
-    # grasp on a closing edge; lower arm index wins a simultaneous grab
-    for arm in range(2):
-        if prev_grip[arm] < 0.5 <= grip_cmd[arm] and attachment[arm] is None:
-            eff = effector_position(tmp, arm)
+        if was[arm] < 0.5 <= now[arm] and attachment[arm] is None:
+            eff = np.array(_arm_points(joints, arm)[2])
             best, best_d = None, R_GRASP
             for i in range(len(poses)):
-                if i in attachment:
-                    continue
                 dist = float(np.hypot(*(poses[i] - eff)))
-                if dist <= best_d:
+                if dist <= best_d and i not in attachment:
                     best, best_d = i, dist
             if best is not None:
                 attachment[arm] = best
                 poses[best] = eff
 
-    return WorldState(joints, grip_cmd, poses, (attachment[0], attachment[1]))
+    return WorldState(joints, grip, poses, tuple(attachment))
 
 
 def rollout(scene: SceneSpec, init: WorldState, actions) -> list[WorldState]:

@@ -12,6 +12,7 @@ pseudo-action labels, never these two fields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
@@ -64,6 +65,15 @@ class CorruptionMixture:
     weights: dict[str, float] = field(default_factory=lambda: {
         "none": 0.6, "tele_grab": 0.1, "offset_grasp": 0.1,
         "object_drift": 0.1, "temporal_jitter": 0.1})
+
+    def __post_init__(self):
+        for kind, weight in self.weights.items():
+            if kind not in CORRUPTION_KINDS:
+                raise ValueError(f"unknown corruption kind {kind!r}")
+            if not (math.isfinite(weight) and weight >= 0.0):
+                raise ValueError(f"weight {weight!r} of {kind!r} is not finite and non-negative")
+        if not sum(self.weights.values()) > 0.0:
+            raise ValueError("corruption weights must have a positive sum")
 
     def draw(self, rng: np.random.Generator) -> CorruptionSpec:
         kinds = sorted(self.weights)
@@ -121,7 +131,7 @@ def edit_initial_scene(scene: SceneSpec, axes: Iterable[str],
             used.add(new)
             out = replace(out, **{name: new})
     if "lighting" in axes:
-        out = replace(out, lighting_gain=float(rng.uniform(0.5, 1.5)))
+        out = replace(out, lighting_gain=float(rng.uniform(*sim.GAIN_RANGE)))
     if "target_object" in axes and out.objects:
         new_color = _pick_color(rng, used)
         new_shape = str(rng.choice(sim.SHAPES))

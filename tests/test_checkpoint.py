@@ -91,6 +91,22 @@ def rewrite(path, edit_arrays=None, **meta_changes):
     checkpoint.save_checkpoint(path, arrays, meta={**meta, **meta_changes})
 
 
+@pytest.mark.parametrize("values", [(8.0, 99.0), (), ((8.0,),)])
+def test_load_rejects_a_meta_record_of_other_than_one_value(tmp_path, values):
+    """A file whose meta/dim holds (8, 99) used to load with dim 8; one value
+    in a (1, 1) record is still one value, and loads."""
+    path = tmp_path / "idm.tckp"
+    IdmModel(dict(MODELS)[IdmModel], seed=1).save(path)
+    arrays, meta = checkpoint.load_checkpoint(path)
+    del meta["dim"]
+    checkpoint.save_checkpoint(path, {**arrays, "meta/dim": np.array(values)}, meta=meta)
+    if np.size(values) == 1:
+        assert IdmModel.load(path).hyper.dim == 8
+        return
+    with pytest.raises(CheckpointError, match="meta/dim"):
+        checkpoint.load_checkpoint(path)
+
+
 @pytest.mark.parametrize("module, field, value", [
     pytest.param(module, field, value, id=f"{prefix}{field}-{value}")
     for module, prefix, field, value in [

@@ -117,6 +117,16 @@ def test_episode_length_invariant():
                     states=np.zeros(states), actions=np.zeros(actions))
 
 
+def test_episode_rejects_an_unknown_embodiment():
+    with pytest.raises(ValueError, match="unknown embodiment 'sim'"):
+        make_episode(embodiment="sim")
+
+
+def test_collect_demos_needs_one_episode():
+    with pytest.raises(ValueError, match="n >= 1"):
+        dataset.collect_demos(0)
+
+
 def test_neural_episode_requires_zero_states():
     with pytest.raises(ValueError):
         make_episode(t=4, embodiment="neural",
@@ -186,6 +196,40 @@ def test_misshapen_actions_record_detected(tmp_path):
         (name, kind, (4, 3) if name == "actions" else dims, payload)
         for name, kind, dims, payload in recs])
     with pytest.raises(dataset.DatasetError):
+        dataset.read_episode(path)
+
+
+def _json_payload(array):
+    payload = json.dumps(array.tolist()).encode()
+    return records.JSON, (len(payload),), payload
+
+
+def _f64_frames_with_a_fraction(frames):
+    out = frames.astype("<f8")
+    out.flat[0] = 12.7
+    return records.F64, out.shape, out
+
+
+KIND_FAULTS = {
+    "states_as_u8": ("states", lambda a: (records.U8, a.shape, a.astype(np.uint8))),
+    "frames_as_f64": ("frames", _f64_frames_with_a_fraction),
+    "states_as_json": ("states", _json_payload),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(KIND_FAULTS))
+def test_record_of_another_kind_detected(tmp_path, fault):
+    """A record whose kind is not the one the writer gives its name is
+    rejected, not decoded by the kind the file claims and then cast."""
+    name, rewrite = KIND_FAULTS[fault]
+    episode = make_episode(t=3)
+    path = tmp_path / "ep.ntrj"
+    dataset.write_episode(episode, path)
+    recs = records.read_records(path.read_bytes(), dataset.MAGIC, dataset.VERSION, True)
+    records.write_records(path, dataset.MAGIC, dataset.VERSION, [
+        (n, *rewrite(getattr(episode, name))) if n == name else (n, kind, dims, payload)
+        for n, kind, dims, payload in recs])
+    with pytest.raises(dataset.DatasetError, match="kind"):
         dataset.read_episode(path)
 
 

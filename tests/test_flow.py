@@ -117,11 +117,10 @@ class ScalarModel:
 
 def test_train_fm_converges_on_toy_problem():
     model = ScalarModel()
-    data = np.full((8, 1), 2.0)
     cfg = TrainConfig(steps=100, batch_size=8,
                       schedule=LrSchedule(base_lr=0.05, total_steps=100,
                                           stable_steps=100), seed=0)
-    losses = train_fm(model, lambda r: (data, {}), cfg)
+    losses = train_fm(model, lambda r, n: (np.full((n, 1), 2.0), {}), cfg)
     assert len(losses) == 100
     # convex problem: the loss trend over the first 100 steps is decreasing
     assert losses[-1] < losses[0]
@@ -135,9 +134,21 @@ def test_train_fm_zero_steps_is_noop():
     cfg = TrainConfig(steps=0, batch_size=4,
                       schedule=LrSchedule(base_lr=0.05, total_steps=0,
                                           stable_steps=0), seed=0)
-    losses = train_fm(model, lambda r: (np.zeros((4, 1)), {}), cfg)
+    losses = train_fm(model, lambda r, n: (np.zeros((n, 1)), {}), cfg)
     assert losses == []
     assert np.array_equal(model.params["w"].data, before)
+
+
+def test_train_fm_asks_batch_fn_for_the_configured_batch_size():
+    sizes = []
+
+    def batch_fn(rng, n):
+        sizes.append(n)
+        return np.zeros((n, 1)), {}
+
+    cfg = TrainConfig(steps=3, batch_size=5, schedule=LrSchedule(0.05, 3, 3))
+    train_fm(ScalarModel(), batch_fn, cfg)
+    assert sizes == [5, 5, 5]
 
 
 @pytest.mark.parametrize("steps, batch_size", [(7, 4), (3, 4), (5, 0)])
@@ -154,7 +165,7 @@ def test_train_fm_deterministic():
         cfg = TrainConfig(steps=30, batch_size=4,
                           schedule=LrSchedule(base_lr=0.05, total_steps=30,
                                               stable_steps=30), seed=7)
-        train_fm(model, lambda r: (np.full((4, 1), 1.5), {}), cfg)
+        train_fm(model, lambda r, n: (np.full((n, 1), 1.5), {}), cfg)
         return model.params["w"].data.copy()
 
     assert np.array_equal(run(), run())

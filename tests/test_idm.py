@@ -99,9 +99,27 @@ def test_label_video_same_bytes_on_any_core_count(monkeypatch):
     assert all(by_core_count == labels[0] for by_core_count in labels)
 
 
+def test_label_video_labels_are_fixed_points_of_clip_actions():
+    """Labels are the commands a replay executes: clipping changes none, and
+    with a wide normalization some sit at a bound."""
+    model = tiny_model()
+    model.norm_std = np.full(idm.ACTION_DIM, 1.0)
+    labels = idm.label_video(random_video(13, seed=2), model)
+    assert np.array_equal(sim.clip_actions(labels), labels)
+    assert np.any(np.abs(labels[:, [0, 1, 3, 4]]) == sim.A_MAX)
+
+
 def test_label_video_rejects_a_one_frame_video():
     with pytest.raises(ValueError, match="two frames"):
         idm.label_video(random_video(1), tiny_model())
+
+
+def test_train_idm_rejects_an_empty_dataset():
+    config = flow.TrainConfig(steps=1, batch_size=2,
+                              schedule=optim.LrSchedule(base_lr=1e-3, total_steps=1,
+                                                        stable_steps=1))
+    with pytest.raises(ValueError, match="empty dataset"):
+        idm.train_idm([], config, TINY)
 
 
 def test_train_idm_skips_episodes_shorter_than_a_chunk(caplog):

@@ -38,6 +38,7 @@ from trajcurate.probe import (
     _replay_windows,
     _split_by_episode,
     alignment_prob,
+    build_pairs,
     score_sample,
     train_probe,
 )
@@ -141,6 +142,18 @@ def test_pretrain_encoder_with_no_steps_is_the_initial_encoder():
     assert model.params.keys() == init.params.keys()
     for name, p in init.params.items():
         assert np.array_equal(model.params[name].data, p.data), name
+
+
+def test_encode_rejects_a_clip_of_another_length():
+    model = EncoderModel(TINY_ENCODER, seed=0)
+    clips = np.zeros((1, CLIP_LEN - 2, 32, 32, 3), dtype=np.uint8)
+    with pytest.raises(ValueError, match=f"clip length {CLIP_LEN - 2} != {CLIP_LEN}"):
+        model.encode(clips)
+
+
+def test_pretrain_encoder_needs_two_episodes():
+    with pytest.raises(ValueError, match="at least two episodes"):
+        pretrain_encoder(dataset.collect_demos(1, seed=0), EncoderTrainConfig(steps=0))
 
 
 @pytest.mark.parametrize("cls, field, bad", [
@@ -298,6 +311,18 @@ def frozen_encoder(hyper=TINY_ENCODER, seed=5):
     return encoder
 
 
+def test_build_pairs_needs_two_episodes():
+    with pytest.raises(ValueError, match="at least two episodes"):
+        build_pairs(dataset.collect_demos(1, seed=0))
+
+
+def test_probe_forward_rejects_token_sets_that_are_not_3d():
+    model = ProbeModel(TINY_PROBE, seed=0)
+    tokens = np.zeros((4, TINY_PROBE.dim))
+    with pytest.raises(ValueError, match=r"token sets must be \(B, M, 8\)"):
+        model.forward(tokens, tokens)
+
+
 def test_train_probe_rejects_an_unfrozen_encoder():
     with pytest.raises(ValueError, match="frozen"):
         train_probe(random_pair_set(5, 2, seed=5), EncoderModel(TINY_ENCODER, seed=5))
@@ -386,9 +411,9 @@ def test_nan_mid_trunk_raises_in_idm_training(poisoned):
     model = poison(idm.IdmModel(NAN_IDM, seed=1), poisoned)
     frames = random_frames(4, seed=2)
 
-    def batch_fn(rng):
-        chunks = rng.normal(size=(2, NAN_IDM.horizon, idm.ACTION_DIM))
-        return chunks, model.condition(frames[:2], frames[2:])
+    def batch_fn(rng, size):
+        chunks = rng.normal(size=(size, NAN_IDM.horizon, idm.ACTION_DIM))
+        return chunks, model.condition(frames[:size], frames[size:])
 
     config = flow.TrainConfig(steps=2, batch_size=2,
                               schedule=LrSchedule(base_lr=1e-3, total_steps=2, stable_steps=1))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from trajcurate.nn import ParamStore, TransformerBlock, Trunk, patchify
+from trajcurate.nn import ParamStore, TransformerBlock, Trunk, patchify, time_features
 from trajcurate.tensor import Tensor, finite_diff_grad, no_grad
 
 
@@ -154,3 +154,11 @@ def test_patchify_matches_reference_bytes(shape, patch):
     out = patchify(frames, patch)
     assert out.flags.c_contiguous
     assert out.tobytes() == reference_patchify(frames, patch).tobytes()
+
+
+def test_time_features_pad_an_odd_dim_with_a_zero_column():
+    t = np.array([0.0, 0.3, 1.0])
+    odd, even = time_features(t, 7), time_features(t, 6)
+    assert odd.shape == (3, 7)
+    assert np.array_equal(odd[:, :6], even)
+    assert np.array_equal(odd[:, 6], np.zeros(3))

@@ -29,6 +29,14 @@ def test_adamw_shape_mismatch():
         AdamW().step({"p": np.ones(2)}, {"p": np.ones(3)}, lr=0.1)
 
 
+@pytest.mark.parametrize("lr", [0.0, -0.1])
+def test_adamw_rejects_a_non_positive_lr_and_leaves_its_state(lr):
+    opt, p = AdamW(), np.ones(2)
+    with pytest.raises(ValueError, match="lr must be positive"):
+        opt.step({"p": p}, {"p": np.ones(2)}, lr=lr)
+    assert opt.step_count == 0 and np.array_equal(p, np.ones(2))
+
+
 def test_adamw_second_moment_nonnegative_and_step_increments():
     opt = AdamW()
     params = {"p": np.array([0.5])}

@@ -144,6 +144,69 @@ def test_action_clipping():
     assert np.allclose(nxt.joints[0] - state.joints[0], [sim.A_MAX, -sim.A_MAX])
 
 
+def test_released_object_is_grasped_by_the_other_arm_in_the_same_tick():
+    """Every release comes before any grasp: an object arm 0 lets go of is
+    free when arm 1 closes on it in the same tick."""
+    scene = make_scene([SceneObject("circle", 1, 0.055, (0.50, 0.40))])
+    joints = np.array([sim.inverse_kinematics((0.50, 0.40), 0),
+                       sim.inverse_kinematics((0.50, 0.40), 1)])
+    state = WorldState(joints, np.array([1.0, 0.0]), sim.initial_state(scene).object_poses,
+                       (0, None))
+    nxt = sim.step(state, np.array([0, 0, 0.0, 0, 0, 1.0]))
+    assert nxt.attachment == (None, 0)
+    assert np.array_equal(nxt.object_poses[0], sim.effector_position(nxt, 1))
+
+
+_far = st.floats(-1e12, 1e12, allow_nan=False, allow_infinity=False)
+_near = st.sampled_from([-sim.A_MAX, sim.A_MAX, 0.0, 0.49, 0.5, 1.0, -1.0, 2.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(action=st.lists(st.one_of(_far, _near), min_size=6, max_size=6),
+       joints=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+       gripper=st.lists(st.sampled_from([0.0, 0.49, 0.5, 1.0]), min_size=2, max_size=2),
+       attached=st.sampled_from([(None, None), (0, None), (None, 1), (1, 0)]),
+       offsets=st.lists(st.floats(-0.06, 0.06), min_size=4, max_size=4))
+def test_step_executes_the_clipped_action(action, joints, gripper, attached, offsets):
+    """`step` of any finite action equals `step` of its clip bit for bit; the
+    objects start near the effectors, so grasps and releases occur."""
+    joints = np.array(joints).reshape(2, 2)
+    state = WorldState(joints, np.array(gripper), np.zeros((2, 2)), (None, None))
+    poses = np.array([sim.effector_position(state, arm) for arm in range(2)])
+    state = WorldState(joints, np.array(gripper), poses + np.reshape(offsets, (2, 2)),
+                       attached)
+    action = np.array(action)
+    clipped = sim.clip_actions(action)
+    a, b = sim.step(state, action), sim.step(state, clipped)
+    for name in ("joints", "gripper", "object_poses"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert a.attachment == b.attachment
+    assert np.array_equal(sim.clip_actions(clipped), clipped)
+    bound = np.array([sim.A_MAX, sim.A_MAX, 1.0] * 2)
+    assert np.all(np.abs(clipped) <= bound)
+    assert np.all(clipped[[2, 5]] >= 0.0)
+
+
+def test_clip_actions_bounds_and_any_leading_shape():
+    a = sim.A_MAX
+    assert np.array_equal(sim.clip_actions([9.0, -9.0, 9.0, -9.0, 9.0, -9.0]),
+                          [a, -a, 1.0, -a, a, 0.0])
+    actions = np.random.default_rng(0).normal(0.0, 5.0, size=(3, 4, sim.ACTION_DIM))
+    clipped = sim.clip_actions(actions)
+    assert clipped.shape == actions.shape
+    assert np.array_equal(clipped[1, 2], sim.clip_actions(actions[1, 2]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", [0, 2, 5])
+def test_step_rejects_a_non_finite_action(bad, column):
+    """A non-finite entry raises rather than being clipped to a bound."""
+    action = np.zeros(sim.ACTION_DIM)
+    action[column] = bad
+    with pytest.raises(ValueError, match="finite"):
+        sim.step(sim.initial_state(two_object_scene()), action)
+
+
 # -- rendering ---------------------------------------------------------------------
 
 

@@ -476,6 +476,26 @@ def test_mixture_frequencies():
         assert abs(kinds[kind] / 1000 - expected) < 0.05
 
 
+@pytest.mark.parametrize("weights, match", [
+    ({"none": 0.5, "objet_drift": 0.5}, "unknown corruption kind 'objet_drift'"),
+    ({"none": 1.0, "tele_grab": -0.1}, "non-negative"),
+    ({"none": float("nan")}, "finite"),
+    ({"none": float("inf")}, "finite"),
+    ({"none": 0.0, "tele_grab": 0.0}, "positive sum"),
+    ({}, "positive sum"),
+])
+def test_mixture_rejects_bad_weights_when_built(weights, match):
+    """Not at the first draw, which may come long after."""
+    with pytest.raises(ValueError, match=match):
+        CorruptionMixture(weights=weights)
+
+
+def test_mixture_with_a_zero_weight_never_draws_that_kind():
+    mixture = CorruptionMixture(weights={"none": 1.0, "wrong_task": 0.0})
+    rng = np.random.default_rng(1)
+    assert {mixture.draw(rng).kind for _ in range(50)} == {"none"}
+
+
 # -- persistence ------------------------------------------------------------------------
 
 

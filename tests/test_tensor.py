@@ -97,6 +97,20 @@ def test_unary_op_grads_match_finite_differences(op):
     assert rel_err(auto["x"], fd["x"]) < 1e-4
 
 
+def test_pow_takes_only_a_scalar_exponent():
+    x = Tensor(np.ones(2))
+    with pytest.raises(TypeError, match="scalar exponents"):
+        x ** Tensor(np.array(2.0))
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [((3,), (3, 2)), ((2, 3), (3,))])
+@pytest.mark.parametrize("op", ["matmul", "affine"])
+def test_matmul_and_affine_reject_a_1d_operand(op, a_shape, b_shape):
+    a, b = Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape))
+    with pytest.raises(ValueError, match="ndim >= 2"):
+        a @ b if op == "matmul" else a.affine(b, Tensor(np.zeros(2)))
+
+
 @pytest.mark.parametrize("op", [
     pytest.param(lambda p: p["a"] @ p["b"], id="matmul"),
     pytest.param(lambda p: p["a"].affine(p["b"], p["c"]), id="affine")])
